@@ -5,18 +5,19 @@ states; the accepted language (all finite traces whose run never enters a
 bad state) is therefore prefix-closed, the canonical shape of a safety
 property.  All operations are pure: automata are immutable after
 construction and safe to share across threads (the only internal mutation
-is a transition-table cache, which is idempotent).
+is an edge-row cache, which is idempotent).
 
-Determinism and completeness are semantic conditions on the edge guards
-and are checked by explicit enumeration of the valuations of the
-automaton's variable scope (`check_wellformed`); guard variable counts
-are expected to stay small.
+Guards meet letters only through `guards.guard_mask`: wellformedness is
+AND and OR of edge masks, and each automaton caches per scope the edge
+taken on every letter, which transition tables and products read.  A
+scope of n variables has 2^n letters, so variable counts stay small.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
-first variable as the most significant bit.  Witness construction,
-product state discovery and all reported traces inherit this order, so
-identical inputs always produce identical outputs.
+first variable as the most significant bit (letter i spells i in
+binary).  Witness construction, product state discovery and all reported
+traces inherit this order, so identical inputs always produce identical
+outputs.
 """
 
 from __future__ import annotations
@@ -24,13 +25,12 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as _cartesian
 from typing import Hashable, Iterable, Optional
 
 from .errors import DomainMismatch
-from .guards import (Guard, TRUE, canonicalize, conj, guard_eval, guard_text,
-                     guard_vars, is_variable_name)
+from .guards import (And, Guard, TRUE, canonicalize, guard_eval, guard_mask,
+                     guard_text, guard_vars, is_variable_name)
+from .guards import conj  # noqa: F401  (rebound by bench/tracing.py)
 
 State = Hashable
 
@@ -99,19 +99,17 @@ class Valuation(Mapping):
         return f"Valuation({{{self.to_text()}}})"
 
 
-@lru_cache(maxsize=None)
-def _enumerated(names: tuple[str, ...]) -> tuple[Valuation, ...]:
+def _letter(names: tuple[str, ...], i: int) -> Valuation:
+    """Valuation ``i`` of the sorted ``names`` in the canonical order."""
     n = len(names)
-    out = []
-    for i in range(1 << n):
-        items = tuple((names[j], (i >> (n - 1 - j)) & 1) for j in range(n))
-        out.append(Valuation._from_items(tuple(sorted(items))))
-    return tuple(out)
+    return Valuation._from_items(
+        tuple((names[j], (i >> (n - 1 - j)) & 1) for j in range(n)))
 
 
 def enumerate_valuations(names: Iterable[str]) -> tuple[Valuation, ...]:
     """All valuations of ``names`` in the canonical (binary counting) order."""
-    return _enumerated(tuple(sorted(names)))
+    names = tuple(sorted(names))
+    return tuple(_letter(names, i) for i in range(1 << len(names)))
 
 
 class Trace(Sequence):
@@ -214,7 +212,7 @@ class SafetyAutomaton:
     can name the offending state and rule.
     """
 
-    __slots__ = ("vars", "states", "initial", "bad", "edges", "_tables")
+    __slots__ = ("vars", "states", "initial", "bad", "edges", "_rows")
 
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
@@ -257,7 +255,7 @@ class SafetyAutomaton:
         self.initial = initial
         self.bad = bad_set
         self.edges = normalized
-        self._tables: dict[tuple[str, ...], dict[State, tuple[State, ...]]] = {}
+        self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
 
     @property
     def var_set(self) -> frozenset[str]:
@@ -284,19 +282,45 @@ class SafetyAutomaton:
                 return t
         raise RuntimeError(f"no enabled edge from state {q!r} (automaton incomplete)")
 
+    def _edge_rows(self, scope: tuple[str, ...]
+                   ) -> dict[State, tuple[Optional[int], ...]]:
+        """Per state, the index of the edge taken on each letter of the
+        sorted ``scope`` (None where no edge is enabled); the first enabled
+        edge wins, as in `step`.  Cached."""
+        rows = self._rows.get(scope)
+        if rows is None:
+            if not self.var_set <= set(scope):
+                raise DomainMismatch(
+                    f"scope {list(scope)} does not cover automaton variables "
+                    f"{list(self.vars)}")
+            nletters = 1 << len(scope)
+            rows = {}
+            for q in self.states:
+                row: list[Optional[int]] = [None] * nletters
+                free = (1 << nletters) - 1
+                for k, (g, _) in enumerate(self.edges[q]):
+                    m = guard_mask(g, scope) & free
+                    free ^= m
+                    while m:
+                        low = m & -m
+                        row[low.bit_length() - 1] = k
+                        m ^= low
+                rows[q] = tuple(row)
+            self._rows[scope] = rows
+        return rows
+
     def transition_table(self, scope: Iterable[str]) -> dict[State, tuple[State, ...]]:
         """Per-state successor rows indexed by the canonical valuation order
-        of ``scope`` (which must cover the automaton's variables).  Cached."""
-        key = tuple(sorted(scope))
-        tbl = self._tables.get(key)
-        if tbl is None:
-            if not self.var_set <= set(key):
-                raise DomainMismatch(
-                    f"scope {list(key)} does not cover automaton variables "
-                    f"{list(self.vars)}")
-            vals = enumerate_valuations(key)
-            tbl = {q: tuple(self.step(q, v) for v in vals) for q in self.states}
-            self._tables[key] = tbl
+        of ``scope`` (which must cover the automaton's variables), read
+        off the cached edge rows."""
+        rows = self._edge_rows(tuple(sorted(scope)))
+        tbl = {}
+        for q in self.states:
+            if None in rows[q]:
+                raise RuntimeError(f"no enabled edge from state {q!r} "
+                                   "(automaton incomplete)")
+            targets = [t for _, t in self.edges[q]]
+            tbl[q] = tuple(map(targets.__getitem__, rows[q]))
         return tbl
 
     def __eq__(self, other) -> bool:
@@ -322,28 +346,26 @@ def check_wellformed(a: SafetyAutomaton) -> list[Diagnostic]:
     """Check determinism, completeness, absorbing bad states and a good
     initial state; returns one diagnostic per state and violated rule.
 
-    Determinism and completeness are decided by explicit enumeration of
-    all 2^|vars| valuations at each state.
+    Determinism and completeness are decided on the edge masks of each
+    state; a diagnostic names the first offending valuation.
     """
     diags: list[Diagnostic] = []
-    vals = enumerate_valuations(a.vars)
+    full = (1 << (1 << len(a.vars))) - 1
     for q in a.states:
-        nondet_hit = None
-        incomplete_hit = None
-        for v in vals:
-            enabled = [t for g, t in a.edges[q] if guard_eval(g, v)]
-            if len(enabled) > 1 and nondet_hit is None:
-                nondet_hit = v
-            if not enabled and incomplete_hit is None:
-                incomplete_hit = v
-        if nondet_hit is not None:
-            diags.append(Diagnostic(
-                "nondeterministic-state", str(q),
-                f"state {q!r}: several edges enabled on {nondet_hit.to_text() or 'the empty valuation'}"))
-        if incomplete_hit is not None:
-            diags.append(Diagnostic(
-                "incomplete-state", str(q),
-                f"state {q!r}: no edge enabled on {incomplete_hit.to_text() or 'the empty valuation'}"))
+        covered = overlap = 0
+        for g, _ in a.edges[q]:
+            m = guard_mask(g, a.vars)
+            overlap |= covered & m
+            covered |= m
+        for kind, what, hits in (("nondeterministic-state", "several edges",
+                                  overlap),
+                                 ("incomplete-state", "no edge",
+                                  full & ~covered)):
+            if hits:
+                hit = _letter(a.vars, (hits & -hits).bit_length() - 1)
+                diags.append(Diagnostic(kind, str(q), (
+                    f"state {q!r}: {what} enabled on "
+                    f"{hit.to_text() or 'the empty valuation'}")))
         if q in a.bad:
             for g, t in a.edges[q]:
                 if t not in a.bad:
@@ -380,72 +402,47 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     """Synchronized product over the union variable scope.
 
     States are the reachable tuples of member states, a tuple being bad
-    iff any coordinate is; edge guards are the canonical conjunctions of
-    the coordinate guards, with unsatisfiable conjunctions pruned.  Since
-    every guard mentions only its own automaton's variables, this realizes
-    intersection of the inverse-projected (cylindrified) languages with no
-    extra construction.
+    iff any coordinate is; one edge, guarded by the plain conjunction of
+    the member guards, per tuple of member edges taken together on some
+    letter, in lexicographic order.  Since every guard mentions only its
+    own automaton's variables, this realizes intersection of the inverse-
+    projected (cylindrified) languages with no extra construction.
     """
     if not automata:
         raise ValueError("product of zero automata is undefined")
     scope = tuple(sorted(set().union(*(a.var_set for a in automata))))
-    vals = enumerate_valuations(scope)
-    nvals = len(vals)
-    full_mask = (1 << nvals) - 1
-
-    # Per automaton and state: (guard, target, bitmask of satisfying
-    # valuations of the union scope).  A conjunction of member edges is
-    # satisfiable iff the AND of their masks is nonzero.
-    masked: list[dict[State, list[tuple[Guard, State, int]]]] = []
-    for a in automata:
-        per_state: dict[State, list[tuple[Guard, State, int]]] = {}
-        for q in a.states:
-            entries = []
-            for g, t in a.edges[q]:
-                mask = 0
-                for i, v in enumerate(vals):
-                    if guard_eval(g, v):
-                        mask |= 1 << i
-                entries.append((g, t, mask))
-            per_state[q] = entries
-        masked.append(per_state)
+    member_rows = [a._edge_rows(scope) for a in automata]
 
     init = tuple(a.initial for a in automata)
-    order: list[tuple[State, ...]] = [init]
-    seen = {init}
+    order = {init: None}  # reachable states in discovery order
     edges: dict[State, tuple[tuple[Guard, State], ...]] = {}
-    table_rows: dict[State, tuple[State, ...]] = {}
+    rows: dict[State, tuple[Optional[int], ...]] = {}
     queue = deque([init])
     while queue:
         s = queue.popleft()
-        row: list[Optional[State]] = [None] * nvals
+        # Member edge indices taken on each letter; None marks a letter on
+        # which some member has no edge.
+        taken = list(zip(*(r[q] for r, q in zip(member_rows, s))))
+        combos = sorted(c for c in set(taken) if None not in c)
+        index = {c: k for k, c in enumerate(combos)}
+        rows[s] = tuple(map(index.get, taken))
+        member_edges = [a.edges[q] for a, q in zip(automata, s)]
         out: list[tuple[Guard, State]] = []
-        for combo in _cartesian(*(masked[i][s[i]] for i in range(len(automata)))):
-            mask = full_mask
-            for _, _, m in combo:
-                mask &= m
-                if not mask:
-                    break
-            if not mask:
-                continue
-            target = tuple(t for _, t, _ in combo)
-            out.append((conj(g for g, _, _ in combo), target))
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
+        for combo in combos:
+            guards, target = zip(*[e[k] for e, k in zip(member_edges, combo)])
+            out.append((And(guards), target))
+            if target not in order:
+                order[target] = None
                 queue.append(target)
-            for i in range(nvals):
-                if (mask >> i) & 1:
-                    row[i] = target
         edges[s] = tuple(out)
-        table_rows[s] = tuple(row)
 
-    bad = [s for s in order
-           if any(si in a.bad for si, a in zip(s, automata))]
-    result = SafetyAutomaton(scope, order, init, bad, edges)
-    if all(r is not None for row in table_rows.values() for r in row):
-        result._tables[scope] = table_rows  # product of complete inputs is complete
-    return result
+    # Built in place: the parts are already normalized and checked.
+    p = SafetyAutomaton.__new__(SafetyAutomaton)
+    p.vars, p.states, p.initial, p.edges = scope, tuple(order), init, edges
+    p.bad = frozenset(s for s in order
+                      if any(si in a.bad for si, a in zip(s, automata)))
+    p._rows = {scope: rows}
+    return p
 
 
 def contains(a: SafetyAutomaton, b: SafetyAutomaton) -> ContainmentResult:
@@ -457,7 +454,7 @@ def contains(a: SafetyAutomaton, b: SafetyAutomaton) -> ContainmentResult:
     bad is pruned: bad states are absorbing, so no witness extends them.
     """
     scope = tuple(sorted(a.var_set | b.var_set))
-    vals = enumerate_valuations(scope)
+    nletters = 1 << len(scope)
     ta = a.transition_table(scope)
     tb = b.transition_table(scope)
 
@@ -476,7 +473,7 @@ def contains(a: SafetyAutomaton, b: SafetyAutomaton) -> ContainmentResult:
             continue
         rowa, rowb = ta[qa], tb[qb]
         d = depth[pair]
-        for i in range(len(vals)):
+        for i in range(nletters):
             nxt = (rowa[i], rowb[i])
             if nxt in parents:
                 continue
@@ -488,29 +485,13 @@ def contains(a: SafetyAutomaton, b: SafetyAutomaton) -> ContainmentResult:
                 cur = nxt
                 while parents[cur] is not None:
                     prev, idx = parents[cur]
-                    letters.append(vals[idx])
+                    letters.append(_letter(scope, idx))
                     cur = prev
                 letters.reverse()
                 return ContainmentResult(False, Trace(letters),
                                          len(parents), d + 1)
             queue.append(nxt)
     return ContainmentResult(True, None, len(parents), max_depth)
-
-
-def _layer_at(start: frozenset, step_fn, h: int) -> frozenset:
-    # Layer sequence after k steps is eventually periodic; jump over the
-    # cycle instead of iterating a potentially huge horizon.
-    history = [start]
-    seen = {start: 0}
-    while len(history) <= h:
-        nxt = step_fn(history[-1])
-        if nxt in seen:
-            j = seen[nxt]
-            period = len(history) - j
-            return history[j + (h - j) % period]
-        seen[nxt] = len(history)
-        history.append(nxt)
-    return history[h]
 
 
 def has_trace_of_length(a: SafetyAutomaton, h: int) -> bool:
@@ -521,16 +502,19 @@ def has_trace_of_length(a: SafetyAutomaton, h: int) -> bool:
     if a.initial in a.bad:
         return False
     table = a.transition_table(a.vars)
-
-    def advance(layer: frozenset) -> frozenset:
-        out = set()
-        for q in layer:
-            for t in table[q]:
-                if t not in a.bad:
-                    out.add(t)
-        return frozenset(out)
-
-    return bool(_layer_at(frozenset((a.initial,)), advance, h))
+    # The layer sequence after k steps is eventually periodic; jump over
+    # the cycle instead of iterating a potentially huge horizon.
+    history = [frozenset((a.initial,))]
+    seen = {history[0]: 0}
+    while len(history) <= h:
+        nxt = frozenset(t for q in history[-1] for t in table[q]
+                        if t not in a.bad)
+        if nxt in seen:
+            j = seen[nxt]
+            return bool(history[j + (h - j) % (len(history) - j)])
+        seen[nxt] = len(history)
+        history.append(nxt)
+    return bool(history[h])
 
 
 def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
@@ -545,15 +529,12 @@ def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
         return None
     if h == 0:
         return Trace(())
-    vals = enumerate_valuations(a.vars)
     table = a.transition_table(a.vars)
     layers: list[dict[State, Optional[tuple[State, int]]]] = [{a.initial: None}]
     for _ in range(h):
         cur: dict[State, tuple[State, int]] = {}
         for q in layers[-1]:
-            row = table[q]
-            for i in range(len(vals)):
-                t = row[i]
+            for i, t in enumerate(table[q]):
                 if t not in a.bad and t not in cur:
                     cur[t] = (q, i)
         if not cur:
@@ -564,7 +545,7 @@ def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
     cur_state = end
     for k in range(h, 0, -1):
         prev, idx = layers[k][cur_state]
-        letters.append(vals[idx])
+        letters.append(_letter(a.vars, idx))
         cur_state = prev
     letters.reverse()
     return Trace(letters)
@@ -573,24 +554,5 @@ def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
 def has_joint_trace_of_length(a: SafetyAutomaton, b: SafetyAutomaton,
                               h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted by both
-    automata (a good/good pair is reachable in exactly ``h`` steps)."""
-    if h < 0:
-        raise ValueError("length must be nonnegative")
-    if a.initial in a.bad or b.initial in b.bad:
-        return False
-    scope = tuple(sorted(a.var_set | b.var_set))
-    nvals = len(enumerate_valuations(scope))
-    ta = a.transition_table(scope)
-    tb = b.transition_table(scope)
-
-    def advance(layer: frozenset) -> frozenset:
-        out = set()
-        for qa, qb in layer:
-            rowa, rowb = ta[qa], tb[qb]
-            for i in range(nvals):
-                na, nb = rowa[i], rowb[i]
-                if na not in a.bad and nb not in b.bad:
-                    out.add((na, nb))
-        return frozenset(out)
-
-    return bool(_layer_at(frozenset(((a.initial, b.initial),)), advance, h))
+    automata."""
+    return has_trace_of_length(product([a, b]), h)

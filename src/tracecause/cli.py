@@ -17,7 +17,8 @@ from typing import Optional
 
 from .automata import Trace
 from .counterfactual import FaultModelKind, ModelAssignment
-from .engine import CauseReport, EnumerationStats, enumerate_with_stats
+from .engine import (CauseReport, EnumerationStats, _trace_to_jsonable,
+                     enumerate_with_stats)
 from .errors import (HorizonMismatch, NotAnErrorTrace, ParseError,
                      SchemaError, UnknownComponent, ValidationError)
 from .model import (SystemModel, faulty_components, parse_system, parse_trace,
@@ -48,12 +49,6 @@ def _witness_text(t: Optional[Trace]) -> str:
     if len(t) == 0:
         return "(empty trace)"
     return " | ".join(step.to_text() for step in t)
-
-
-def _trace_jsonable(t: Optional[Trace]):
-    if t is None:
-        return None
-    return [dict(step.items()) for step in t]
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
@@ -104,13 +99,9 @@ def _build_assignment(args, m: SystemModel) -> ModelAssignment:
     return asg
 
 
-def _validation_diags(m: SystemModel):
-    return validate_system(m)
-
-
 def _diag_jsonable(d) -> dict:
     return {"kind": d.kind, "subject": d.subject, "message": d.message,
-            "witness": _trace_jsonable(d.witness)}
+            "witness": _trace_to_jsonable(d.witness)}
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +123,7 @@ def cmd_validate(args) -> int:
                          "diagnostics": diags})
         _err(f"invalid: {e}")
         return 1
-    diags = _validation_diags(m)
+    diags = validate_system(m)
     if args.json:
         _print_json({"schema_version": SCHEMA_VERSION, "command": "validate",
                      "status": "ok" if not diags else "invalid",
@@ -157,7 +148,7 @@ def _prepare_analysis(args):
     except ValidationError as e:
         _err(f"invalid: {e}")
         return 1, None
-    diags = _validation_diags(m)
+    diags = validate_system(m)
     if diags:
         for d in diags:
             _err(f"{d.kind}: {d.message}")

@@ -195,10 +195,8 @@ def _normalize_members(m: SystemModel, d: Candidates) -> frozenset[str]:
     return members
 
 
-def _cached_factor(cache: Optional[dict], c, kind: FaultModelKind,
+def _cached_factor(cache: dict, c, kind: FaultModelKind,
                    tr: Trace) -> SafetyAutomaton:
-    if cache is None:
-        return build_fault_model(kind, c, project_trace(tr, c), len(tr))
     key = (c.name, kind)
     a = cache.get(key)
     if a is None:
@@ -209,7 +207,7 @@ def _cached_factor(cache: Optional[dict], c, kind: FaultModelKind,
 
 def _factors(m: SystemModel, tr: Trace, members: frozenset[str],
              asg: ModelAssignment, corrected_in_set: bool,
-             cache: Optional[dict]) -> list[SafetyAutomaton]:
+             cache: dict) -> list[SafetyAutomaton]:
     out = []
     for c in m.components:
         use_cf = (c.name in members) == corrected_in_set
@@ -218,29 +216,33 @@ def _factors(m: SystemModel, tr: Trace, members: frozenset[str],
     return out
 
 
+def _operand(m: SystemModel, tr: Trace, d: Candidates,
+             asg: Optional[ModelAssignment],
+             corrected_in_set: bool) -> SafetyAutomaton:
+    asg = asg or ModelAssignment.defaults(m)
+    members = _normalize_members(m, d)
+    return product(_factors(m, tr, members, asg, corrected_in_set, {}))
+
+
 def mitigation_operand(m: SystemModel, tr: Trace, d: Candidates,
                        asg: Optional[ModelAssignment] = None) -> SafetyAutomaton:
     """The language of all global behaviors where the components in ``d``
     are counterfactually corrected and everyone else follows their fault
     model.  Guards stay over each component's own variables, so inverse
     projection onto the global alphabet is implicit."""
-    asg = asg or ModelAssignment.defaults(m)
-    members = _normalize_members(m, d)
-    return product(_factors(m, tr, members, asg, True, None))
+    return _operand(m, tr, d, asg, True)
 
 
 def manifestation_operand(m: SystemModel, tr: Trace, d: Candidates,
                           asg: Optional[ModelAssignment] = None) -> SafetyAutomaton:
     """Mirror image of `mitigation_operand`: ``d`` keeps its fault model,
     everyone else is corrected."""
-    asg = asg or ModelAssignment.defaults(m)
-    members = _normalize_members(m, d)
-    return product(_factors(m, tr, members, asg, False, None))
+    return _operand(m, tr, d, asg, False)
 
 
 def _evaluate(m: SystemModel, tr: Trace, members: frozenset[str],
               asg: ModelAssignment, mode: str, quantifier: Optional[str],
-              cache: Optional[dict]) -> tuple[Verdict, SetMetrics]:
+              cache: dict) -> tuple[Verdict, SetMetrics]:
     corrected_in_set = mode == "mitigation"
     factors = _factors(m, tr, members, asg, corrected_in_set, cache)
     operand = product(factors)
@@ -282,7 +284,7 @@ def mitigates(m: SystemModel, tr: Trace, d: Candidates,
     _check_error_trace(m, tr)
     asg = asg or ModelAssignment.defaults(m)
     members = _normalize_members(m, d)
-    verdict, _ = _evaluate(m, tr, members, asg, "mitigation", None, None)
+    verdict, _ = _evaluate(m, tr, members, asg, "mitigation", None, {})
     return verdict
 
 
@@ -299,7 +301,7 @@ def manifests(m: SystemModel, tr: Trace, d: Candidates,
     asg = asg or ModelAssignment.defaults(m)
     members = _normalize_members(m, d)
     verdict, _ = _evaluate(m, tr, members, asg, "manifestation", quantifier,
-                           None)
+                           {})
     return verdict
 
 

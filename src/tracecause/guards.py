@@ -7,15 +7,16 @@ form (negations pushed to variables, n-ary conjunctions/disjunctions
 flattened, operands deduplicated and sorted by variable name) so that
 printing is byte-reproducible and structural equality is meaningful.
 
-Satisfiability and validity are decided by explicit enumeration of the
-valuations of the mentioned variables; variable counts are expected to be
-small, so no solver is involved.
+`guard_mask` evaluates a guard on all 2^n valuations of n variables at
+once, one bit per valuation, so no solver is involved.  The parser caps
+nesting at `MAX_GUARD_DEPTH`, which bounds every recursion here.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import ParseError, UndeclaredVariable
@@ -23,6 +24,9 @@ from .errors import ParseError, UndeclaredVariable
 VAR_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 _KEYWORDS = frozenset({"true", "false"})
+
+MAX_GUARD_DEPTH = 100
+"""Deepest nesting of ``!`` and parentheses `parse_guard` accepts."""
 
 
 def is_variable_name(name: str) -> bool:
@@ -66,20 +70,7 @@ FALSE = Const(False)
 
 def guard_eval(g: Guard, valuation: Mapping[str, int]) -> bool:
     """Evaluate ``g`` on a valuation (any mapping from variable name to 0/1)."""
-    if isinstance(g, Const):
-        return g.value
-    if isinstance(g, Var):
-        try:
-            return bool(valuation[g.name])
-        except KeyError:
-            raise UndeclaredVariable(g.name) from None
-    if isinstance(g, Not):
-        return not guard_eval(g.operand, valuation)
-    if isinstance(g, And):
-        return all(guard_eval(c, valuation) for c in g.operands)
-    if isinstance(g, Or):
-        return any(guard_eval(c, valuation) for c in g.operands)
-    raise TypeError(f"not a guard: {g!r}")
+    return bool(_mask(g, valuation, 1))
 
 
 def guard_vars(g: Guard) -> frozenset[str]:
@@ -123,14 +114,8 @@ def _assemble(is_and: bool, parts: Iterable[Guard]) -> Guard:
             return absorbing
         elif p != neutral:
             flat.append(p)
-    seen = set()
-    unique = []
-    for p in flat:
-        k = _key(p)
-        if k not in seen:
-            seen.add(k)
-            unique.append(p)
-    unique.sort(key=_key)
+    # Equal keys mean equal canonical nodes, so keying dedups.
+    unique = [p for _, p in sorted({_key(p): p for p in flat}.items())]
     if not unique:
         return neutral
     if len(unique) == 1:
@@ -180,15 +165,55 @@ def cube(valuation: Mapping[str, int], names: Iterable[str]) -> Guard:
     return conj(lits)
 
 
+@lru_cache(maxsize=None)  # one entry per scope size
+def _var_masks(n: int) -> tuple[int, ...]:
+    # The variable at bit b of the valuation index is 1 on runs of 2^b
+    # letters that alternate with runs of 2^b letters where it is 0.
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (1 << b)) + 1) << (1 << b)
+                 for b in range(n - 1, -1, -1))
+
+
+def _mask(g: Guard, var_masks: Mapping[str, int], full: int) -> int:
+    # Bitwise evaluation; stops early where all() or any() would.
+    if isinstance(g, Var):
+        try:
+            return var_masks[g.name]
+        except KeyError:
+            raise UndeclaredVariable(g.name) from None
+    if isinstance(g, Not):
+        return full ^ _mask(g.operand, var_masks, full)
+    if isinstance(g, And):
+        m = full
+        for c in g.operands:
+            m &= _mask(c, var_masks, full)
+            if not m:
+                break
+        return m
+    if isinstance(g, Or):
+        m = 0
+        for c in g.operands:
+            m |= _mask(c, var_masks, full)
+            if m == full:
+                break
+        return m
+    if isinstance(g, Const):
+        return full if g.value else 0
+    raise TypeError(f"not a guard: {g!r}")
+
+
+def guard_mask(g: Guard, names: Iterable[str]) -> int:
+    """The valuations of ``names`` that satisfy ``g``, as bits: bit i is
+    set iff ``g`` holds on valuation i of the sorted names, counting in
+    binary with the first name as the most significant bit."""
+    names = sorted(names)
+    return _mask(g, dict(zip(names, _var_masks(len(names)))),
+                 (1 << (1 << len(names))) - 1)
+
+
 def satisfiable(g: Guard) -> bool:
-    """Decide satisfiability by enumerating valuations of mentioned variables."""
-    names = sorted(guard_vars(g))
-    n = len(names)
-    for i in range(1 << n):
-        v = {names[j]: (i >> (n - 1 - j)) & 1 for j in range(n)}
-        if guard_eval(g, v):
-            return True
-    return False
+    """Some valuation of the mentioned variables satisfies ``g``."""
+    return guard_mask(g, guard_vars(g)) != 0
 
 
 def guard_text(g: Guard) -> str:
@@ -239,6 +264,7 @@ class _GuardParser:
         self.pos = 0
         self.length = length
         self.context = context
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -271,15 +297,19 @@ class _GuardParser:
         tok = self.peek()
         if tok is None:
             self.fail("unexpected end of guard")
-        if tok == "!":
+        if tok in ("!", "("):
+            if self.depth == MAX_GUARD_DEPTH:
+                self.fail(f"guard nested deeper than {MAX_GUARD_DEPTH} levels")
+            self.depth += 1
             self.take()
-            return Not(self.parse_atom())
-        if tok == "(":
-            self.take()
-            inner = self.parse_or()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.take()
+            if tok == "!":
+                inner = Not(self.parse_atom())
+            else:
+                inner = self.parse_or()
+                if self.peek() != ")":
+                    self.fail("expected ')'")
+                self.take()
+            self.depth -= 1
             return inner
         if tok == "true":
             self.take()
@@ -296,7 +326,8 @@ class _GuardParser:
 
 def parse_guard(text: str, context: str | None = None) -> Guard:
     """Parse ``true | false | ident | !g | g & g | g '|' g`` with ``&``
-    binding tighter than ``|``; returns the canonicalized AST."""
+    binding tighter than ``|`` and at most `MAX_GUARD_DEPTH` levels of
+    ``!`` and parentheses; returns the canonicalized AST."""
     parser = _GuardParser(_tokenize(text, context), len(text), context)
     g = parser.parse_or()
     if parser.peek() is not None:

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import tracecause
 from tracecause.cli import main
+from tracecause.guards import MAX_GUARD_DEPTH
 
 from conftest import ab_doc
 
@@ -69,6 +76,24 @@ def test_validate_malformed_guard_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "validate", write_doc(tmp_path, doc))
     assert code == 2
     assert "column 4" in err
+
+
+@pytest.mark.parametrize("guard", ["!" * 5000 + "x",
+                                   "(" * 3000 + "x" + ")" * 3000])
+def test_validate_deeply_nested_guard_exits_2(tmp_path, guard):
+    doc = ab_doc()
+    doc["components"][0]["spec"]["edges"][0]["guard"] = guard
+    src = os.path.dirname(os.path.dirname(tracecause.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tracecause.cli", "validate",
+         write_doc(tmp_path, doc)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "nested deeper" in proc.stderr
+    assert f"column {MAX_GUARD_DEPTH + 1}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_validate_bad_json_exits_2(capsys, tmp_path):

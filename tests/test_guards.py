@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecause.errors import ParseError, UndeclaredVariable
-from tracecause.guards import (FALSE, TRUE, And, Not, Or, Var, canonicalize,
-                               cube, disj, guard_eval, guard_text, guard_vars,
-                               negate, parse_guard, satisfiable)
+from tracecause.guards import (FALSE, MAX_GUARD_DEPTH, TRUE, And, Not, Or,
+                               Var, canonicalize, cube, disj, guard_eval,
+                               guard_mask, guard_text, guard_vars, negate,
+                               parse_guard, satisfiable)
 
 from oracle import all_valuations, oracle_eval
 
@@ -52,6 +53,20 @@ def test_parse_errors_carry_column(text, column):
         parse_guard(text)
     assert e.value.column == column
     assert e.value.line == 1
+
+
+@pytest.mark.parametrize("opener,closer", [("!", ""), ("(", ")"),
+                                           ("!(", ")")])
+def test_parse_nesting_limit(opener, closer):
+    # Depth counts each '!' and each '(' still open at a point.
+    levels = MAX_GUARD_DEPTH // len(opener)
+    at_limit = opener * levels + "x" + closer * levels
+    assert guard_vars(parse_guard(at_limit)) == {"x"}
+    past = opener * (levels + 1) + "x" + closer * (levels + 1)
+    with pytest.raises(ParseError) as e:
+        parse_guard(past)
+    assert "nested deeper" in e.value.message
+    assert e.value.column == MAX_GUARD_DEPTH + 1
 
 
 def test_canonical_sorting_and_dedup():
@@ -117,6 +132,25 @@ def test_negate_is_complement(g):
     neg = negate(g)
     for v in all_valuations(sorted(guard_vars(g) | guard_vars(neg))):
         assert guard_eval(neg, v) == (not guard_eval(g, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(), st.sampled_from([["a", "b", "c"], ["a", "b", "c", "d"],
+                                     ["c", "b", "a"]]))
+def test_guard_mask_bit_i_is_valuation_i(g, names):
+    mask = guard_mask(g, names)
+    for i, v in enumerate(all_valuations(names)):
+        assert (mask >> i) & 1 == oracle_eval(g, v)
+    assert mask >> (1 << len(names)) == 0
+
+
+def test_guard_mask_examples():
+    assert guard_mask(TRUE, []) == 1
+    assert guard_mask(FALSE, ["x"]) == 0
+    assert guard_mask(Var("x"), ["x", "y"]) == 0b1100
+    assert guard_mask(Var("y"), ["x", "y"]) == 0b1010
+    with pytest.raises(UndeclaredVariable):
+        guard_mask(Var("z"), ["x"])
 
 
 def test_disj_of_cubes_covers_exactly():
