@@ -4,13 +4,17 @@ An automaton here is deterministic and complete, with absorbing bad
 states; the accepted language (all finite traces whose run never enters a
 bad state) is therefore prefix-closed, the canonical shape of a safety
 property.  All operations are pure: automata are immutable after
-construction and safe to share across threads (the only internal mutation
-is an edge-row cache, which is idempotent).
+construction and safe to share across threads (the only internal
+mutations fill caches: per-scope edge rows and transition tables, and a
+product's guarded edges; each fill is idempotent).
 
 Guards meet letters only through `guards.guard_mask`: wellformedness is
 AND and OR of edge masks, and each automaton caches per scope the edge
-taken on every letter, which transition tables and products read.  A
-scope of n variables has 2^n letters, so variable counts stay small.
+taken on every letter, from which its transition table is read.  A
+product never builds guards to explore: it combines its members' edge
+rows, fills its own transition table as it goes, and builds its guarded
+edges only when they are asked for.  A scope of n variables has 2^n
+letters, so variable counts stay small.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -25,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from operator import getitem
 from typing import Hashable, Iterable, Optional
 
 from .errors import DomainMismatch
@@ -210,9 +215,14 @@ class SafetyAutomaton:
     bad states, good initial state) are checked by `check_wellformed`,
     which reports diagnostics instead of raising so that counterexamples
     can name the offending state and rule.
+
+    Per scope, the edge taken on each letter and the transition table
+    are computed once and cached; `product` fills its result's table
+    while exploring.
     """
 
-    __slots__ = ("vars", "states", "initial", "bad", "edges", "_rows")
+    __slots__ = ("vars", "states", "initial", "bad", "edges", "_rows",
+                 "_tables")
 
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
@@ -256,6 +266,7 @@ class SafetyAutomaton:
         self.bad = bad_set
         self.edges = normalized
         self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
+        self._tables: dict[tuple[str, ...], dict] = {}
 
     @property
     def var_set(self) -> frozenset[str]:
@@ -282,6 +293,10 @@ class SafetyAutomaton:
                 return t
         raise RuntimeError(f"no enabled edge from state {q!r} (automaton incomplete)")
 
+    def _targets(self, q: State) -> list[State]:
+        """Targets of the edges of ``q``, in edge order."""
+        return [t for _, t in self.edges[q]]
+
     def _edge_rows(self, scope: tuple[str, ...]
                    ) -> dict[State, tuple[Optional[int], ...]]:
         """Per state, the index of the edge taken on each letter of the
@@ -293,34 +308,43 @@ class SafetyAutomaton:
                 raise DomainMismatch(
                     f"scope {list(scope)} does not cover automaton variables "
                     f"{list(self.vars)}")
-            nletters = 1 << len(scope)
-            rows = {}
-            for q in self.states:
-                row: list[Optional[int]] = [None] * nletters
-                free = (1 << nletters) - 1
-                for k, (g, _) in enumerate(self.edges[q]):
-                    m = guard_mask(g, scope) & free
-                    free ^= m
-                    while m:
-                        low = m & -m
-                        row[low.bit_length() - 1] = k
-                        m ^= low
-                rows[q] = tuple(row)
-            self._rows[scope] = rows
+            rows = self._rows[scope] = self._letter_rows(scope)
+        return rows
+
+    def _letter_rows(self, scope: tuple[str, ...]
+                     ) -> dict[State, tuple[Optional[int], ...]]:
+        """`_edge_rows` uncached, from the guard masks."""
+        nletters = 1 << len(scope)
+        rows = {}
+        for q in self.states:
+            row: list[Optional[int]] = [None] * nletters
+            free = (1 << nletters) - 1
+            for k, (g, _) in enumerate(self.edges[q]):
+                m = guard_mask(g, scope) & free
+                free ^= m
+                while m:
+                    low = m & -m
+                    row[low.bit_length() - 1] = k
+                    m ^= low
+            rows[q] = tuple(row)
         return rows
 
     def transition_table(self, scope: Iterable[str]) -> dict[State, tuple[State, ...]]:
         """Per-state successor rows indexed by the canonical valuation order
         of ``scope`` (which must cover the automaton's variables), read
-        off the cached edge rows."""
-        rows = self._edge_rows(tuple(sorted(scope)))
-        tbl = {}
-        for q in self.states:
-            if None in rows[q]:
-                raise RuntimeError(f"no enabled edge from state {q!r} "
-                                   "(automaton incomplete)")
-            targets = [t for _, t in self.edges[q]]
-            tbl[q] = tuple(map(targets.__getitem__, rows[q]))
+        off the edge rows.  Cached per scope: every call with the same
+        scope returns the same dict, which callers must not modify."""
+        scope = tuple(sorted(scope))
+        tbl = self._tables.get(scope)
+        if tbl is None:
+            rows = self._edge_rows(scope)
+            tbl = {}
+            for q in self.states:
+                if None in rows[q]:
+                    raise RuntimeError(f"no enabled edge from state {q!r} "
+                                       "(automaton incomplete)")
+                tbl[q] = tuple(map(self._targets(q).__getitem__, rows[q]))
+            self._tables[scope] = tbl
         return tbl
 
     def __eq__(self, other) -> bool:
@@ -398,50 +422,104 @@ def run(a: SafetyAutomaton, t: Trace) -> RunResult:
     return RunResult(True, None)
 
 
+class _Product(SafetyAutomaton):
+    """A reachable product kept as its members and, per state, the
+    successor of each tuple of member edges taken together on some letter
+    (lexicographic order).  That is all its edge count, edge rows and
+    transition tables need; the guarded edges are built from the members
+    on first access."""
+
+    __slots__ = ("_members", "_succ", "_edges")
+
+    @property
+    def edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
+        if self._edges is None:
+            member_edges = [a.edges for a in self._members]
+            self._edges = {
+                s: tuple((And(tuple(e[q][k][0] for e, q, k
+                                    in zip(member_edges, s, combo))), t)
+                         for combo, t in succ.items())
+                for s, succ in self._succ.items()}
+        return self._edges
+
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self._succ.values()))
+
+    def _targets(self, q: State) -> list[State]:
+        return list(self._succ[q].values())
+
+    def _letter_rows(self, scope: tuple[str, ...]
+                     ) -> dict[State, tuple[Optional[int], ...]]:
+        """Edge rows from the members' rows: the edge taken on a letter is
+        the rank of the tuple of member edges taken on it."""
+        member_rows = [a._edge_rows(scope) for a in self._members]
+        rows = {}
+        for s, succ in self._succ.items():
+            index = {combo: k for k, combo in enumerate(succ)}
+            rows[s] = tuple(map(index.get, zip(
+                *[r[q] for r, q in zip(member_rows, s)])))
+        return rows
+
+
 def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     """Synchronized product over the union variable scope.
 
     States are the reachable tuples of member states, a tuple being bad
-    iff any coordinate is; one edge, guarded by the plain conjunction of
-    the member guards, per tuple of member edges taken together on some
-    letter, in lexicographic order.  Since every guard mentions only its
-    own automaton's variables, this realizes intersection of the inverse-
+    iff any coordinate is.  The exploration reads only the members' edge
+    rows: the successor on a letter is the tuple of the targets of the
+    member edges taken on it, and the product's transition table over the
+    union scope is filled as states are found.  Its edges, one per tuple
+    of member edges taken together on some letter, in lexicographic
+    order and guarded by the plain conjunction of the member guards, are
+    built only when ``edges`` is read.  Each member follows its first
+    enabled edge; on a letter where some member has none, the product
+    state has none either.  Since every guard mentions only its own
+    automaton's variables, this realizes intersection of the inverse-
     projected (cylindrified) languages with no extra construction.
     """
     if not automata:
         raise ValueError("product of zero automata is undefined")
     scope = tuple(sorted(set().union(*(a.var_set for a in automata))))
     member_rows = [a._edge_rows(scope) for a in automata]
+    member_targets = [{q: a._targets(q) for q in a.states} for a in automata]
+    partial = any(None in row for rows in member_rows for row in rows.values())
 
     init = tuple(a.initial for a in automata)
-    order = {init: None}  # reachable states in discovery order
-    edges: dict[State, tuple[tuple[Guard, State], ...]] = {}
-    rows: dict[State, tuple[Optional[int], ...]] = {}
+    # Reachable states in discovery order, each with its successor per
+    # tuple of member edges (None until the state is explored).
+    succ_of: dict[State, Optional[dict]] = {init: None}
+    table: dict[State, tuple[Optional[State], ...]] = {}
     queue = deque([init])
     while queue:
         s = queue.popleft()
         # Member edge indices taken on each letter; None marks a letter on
         # which some member has no edge.
-        taken = list(zip(*(r[q] for r, q in zip(member_rows, s))))
-        combos = sorted(c for c in set(taken) if None not in c)
-        index = {c: k for k, c in enumerate(combos)}
-        rows[s] = tuple(map(index.get, taken))
-        member_edges = [a.edges[q] for a, q in zip(automata, s)]
-        out: list[tuple[Guard, State]] = []
-        for combo in combos:
-            guards, target = zip(*[e[k] for e, k in zip(member_edges, combo)])
-            out.append((And(guards), target))
-            if target not in order:
-                order[target] = None
-                queue.append(target)
-        edges[s] = tuple(out)
+        taken = list(zip(*[r[q] for r, q in zip(member_rows, s)]))
+        targets = [t[q] for t, q in zip(member_targets, s)]
+        combos = set(taken)
+        if partial:
+            combos = [c for c in combos if None not in c]
+        succ = {}
+        for combo in sorted(combos):
+            t = succ[combo] = tuple(map(getitem, targets, combo))
+            if t not in succ_of:
+                succ_of[t] = None
+                queue.append(t)
+        succ_of[s] = succ
+        table[s] = tuple(map(succ.get, taken))
 
     # Built in place: the parts are already normalized and checked.
-    p = SafetyAutomaton.__new__(SafetyAutomaton)
-    p.vars, p.states, p.initial, p.edges = scope, tuple(order), init, edges
-    p.bad = frozenset(s for s in order
-                      if any(si in a.bad for si, a in zip(s, automata)))
-    p._rows = {scope: rows}
+    p = _Product.__new__(_Product)
+    p.vars, p.states, p.initial = scope, tuple(succ_of), init
+    bads = [a.bad for a in automata]
+    p.bad = frozenset(s for s in succ_of
+                      if any(map(frozenset.__contains__, bads, s)))
+    p._members, p._succ, p._edges = tuple(automata), succ_of, None
+    p._rows = {}
+    # An incomplete product gets its table (which raises) the usual way.
+    incomplete = partial and any(None in row for row in table.values())
+    p._tables = {} if incomplete else {scope: table}
     return p
 
 

@@ -39,8 +39,12 @@ def _print_json(doc: dict) -> None:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text ({e.reason} at byte {e.start})",
+                         context=path) from None
 
 
 def _witness_text(t: Optional[Trace]) -> str:

@@ -273,6 +273,11 @@ def parse_system(text: str) -> SystemModel:
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno,
                          context="system document") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply",
+                         context="system document") from None
+    except ValueError as e:  # an integer literal past the digit limit
+        raise ParseError(str(e), context="system document") from None
     return system_from_dict(obj)
 
 

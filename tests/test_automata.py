@@ -12,12 +12,15 @@ from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
                                  has_joint_trace_of_length,
                                  has_trace_of_length, product, run,
                                  universal_automaton)
+from tracecause.counterfactual import FaultModelKind, build_fault_model
 from tracecause.errors import DomainMismatch
-from tracecause.guards import TRUE, Not, Var
+from tracecause.guards import TRUE, And, Not, Var, guard_eval
+from tracecause.model import project_trace
 
 from conftest import always_zero
 from oracle import all_traces, oracle_accepts
-from randsys import random_automaton, random_trace
+from randsys import (random_automaton, random_error_trace, random_system,
+                     random_trace)
 
 
 def T(*steps) -> Trace:
@@ -136,6 +139,156 @@ def test_product_states_are_reachable_tuples():
     assert p.initial == ("g", "g")
     assert all(isinstance(s, tuple) and len(s) == 2 for s in p.states)
     assert check_wellformed(p) == []
+
+
+def eager_product(auts):
+    """Reference product built edge by edge from the guards: on each letter
+    every member takes its first enabled edge; each state gets one edge
+    per tuple of member edges taken on some letter, in lexicographic
+    order, guarded by the plain conjunction of the member guards.
+    Returns (states, edges)."""
+    letters = enumerate_valuations(set().union(*(a.var_set for a in auts)))
+    order = [tuple(a.initial for a in auts)]
+    edges = {}
+    for s in order:  # grows while iterated: breadth first
+        combos = set()
+        for v in letters:
+            combo = tuple(next((k for k, (g, _) in enumerate(a.edges[q])
+                                if guard_eval(g, v)), None)
+                          for a, q in zip(auts, s))
+            if None not in combo:
+                combos.add(combo)
+        out = []
+        for combo in sorted(combos):
+            guards, target = zip(*[a.edges[q][k]
+                                   for a, q, k in zip(auts, s, combo)])
+            out.append((And(guards), target))
+            if target not in order:
+                order.append(target)
+        edges[s] = tuple(out)
+    return tuple(order), edges
+
+
+def random_member_lists(rng, n):
+    """Lists of random automata over overlapping scopes."""
+    for _ in range(n):
+        scope = ["u", "v", "w"][:rng.randint(1, 3)]
+        yield [random_automaton(rng, rng.sample(scope,
+                                                rng.randint(1, len(scope))))
+               for _ in range(rng.randint(1, 3))]
+
+
+def randsys_factor_lists(rng, n):
+    """Fault-model factors of seeded random systems, one kind per
+    component, every kind (the product kind ``prefix-correct`` too)."""
+    kinds = list(FaultModelKind)
+    found = 0
+    while found < n:
+        m = random_system(rng)
+        tr = random_error_trace(rng, m)
+        if tr is None:
+            continue
+        found += 1
+        yield [build_fault_model(rng.choice(kinds), c, project_trace(tr, c),
+                                 len(tr))
+               for c in m.components]
+
+
+def assert_edges_match_eager_build(p, auts):
+    """``p``, the product of ``auts`` with its edges not yet read, has the
+    reference's states, bad states and edges (guards, targets and order),
+    and counts its edges before building them."""
+    edge_count = p.edge_count
+    states, edges = eager_product(auts)
+    assert p.states == states
+    assert p.initial == states[0]
+    assert p.bad == {s for s in states
+                     if any(q in a.bad for a, q in zip(auts, s))}
+    assert list(p.edges.items()) == list(edges.items())
+    assert edge_count == p.edge_count == sum(map(len, p.edges.values()))
+    return p
+
+
+def assert_product_matches_members(auts):
+    """The table's successor on each letter is the tuple of the members'
+    steps, and the edges match the reference (checked after the table, so
+    the edges are still unbuilt)."""
+    p = product(auts)
+    letters = enumerate_valuations(p.vars)
+    table = p.transition_table(p.vars)
+    for s in p.states:
+        assert table[s] == tuple(
+            tuple(a.step(q, v) for a, q in zip(auts, s)) for v in letters)
+    return assert_edges_match_eager_build(p, auts)
+
+
+def test_product_matches_eager_build_on_random_automata():
+    rng = random.Random(11)
+    for auts in random_member_lists(rng, 150):
+        assert_product_matches_members(auts)
+
+
+def test_product_matches_eager_build_on_randsys_factors():
+    rng = random.Random(12)
+    nested = 0
+    for auts in randsys_factor_lists(rng, 60):
+        p = assert_product_matches_members(auts)
+        nested += sum(isinstance(a.initial, tuple) for a in auts)
+        for _ in range(5):
+            t = random_trace(rng, p.vars, rng.randint(0, 4))
+            assert run(p, t).accepted == all(run(a, t).accepted
+                                             for a in auts)
+    assert nested  # some factors were prefix-correct products
+
+
+def test_product_as_factor_of_a_wider_product():
+    inner = product([always_zero("x"), always_zero("y")])
+    outer = product([inner, always_zero("z")])
+    assert_product_matches_members([inner, always_zero("z")])
+    assert contains(outer, always_zero("x", ["x", "y", "z"])).holds
+    assert not contains(outer, always_zero("w", ["w", "x", "y", "z"])).holds
+    assert run(outer, T({"x": 0, "y": 0, "z": 0})).accepted
+    assert not run(outer, T({"x": 0, "y": 1, "z": 0})).accepted
+
+
+def test_product_with_incomplete_member_has_no_edge_there():
+    # "only_zero" has no edge where x=1: the product state has none there
+    # either, and its table refuses the gap as an incomplete automaton does.
+    only_zero = SafetyAutomaton(["x"], ["s"], "s", [],
+                                {"s": [(Not(Var("x")), "s")]})
+    auts = [only_zero, always_zero("y")]
+    p = assert_edges_match_eager_build(product(auts), auts)
+    assert [d.kind for d in check_wellformed(p)] == ["incomplete-state"] * 2
+    with pytest.raises(RuntimeError, match="incomplete"):
+        p.transition_table(p.vars)
+    assert run(p, T({"x": 0, "y": 1})).accepted is False
+    with pytest.raises(RuntimeError, match="no enabled edge"):
+        run(p, T({"x": 1, "y": 0}))
+
+
+def test_product_with_nondeterministic_member_takes_first_edge():
+    both = SafetyAutomaton(["x"], ["s", "t"], "s", [], {
+        "s": [(TRUE, "s"), (Var("x"), "t")], "t": [(TRUE, "t")]})
+    p = assert_product_matches_members([both, always_zero("y")])
+    assert [s for s, _ in p.states] == ["s", "s"]
+
+
+def test_transition_table_is_built_once_per_scope(monkeypatch):
+    calls = []
+    targets = SafetyAutomaton._targets
+
+    def counting(self, q):
+        calls.append(q)
+        return targets(self, q)
+
+    monkeypatch.setattr(SafetyAutomaton, "_targets", counting)
+    a = always_zero("x")
+    first = a.transition_table(["x", "y"])
+    built = len(calls)
+    assert built == a.state_count
+    assert a.transition_table(["y", "x"]) is first
+    assert len(calls) == built
+    assert a.transition_table(["x"]) is not first
 
 
 # ---------------------------------------------------------------------------

@@ -78,21 +78,44 @@ def test_validate_malformed_guard_exits_2(capsys, tmp_path):
     assert "column 4" in err
 
 
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so an uncaught error shows as a
+    traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(tracecause.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "tracecause.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 @pytest.mark.parametrize("guard", ["!" * 5000 + "x",
                                    "(" * 3000 + "x" + ")" * 3000])
 def test_validate_deeply_nested_guard_exits_2(tmp_path, guard):
     doc = ab_doc()
     doc["components"][0]["spec"]["edges"][0]["guard"] = guard
-    src = os.path.dirname(os.path.dirname(tracecause.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tracecause.cli", "validate",
-         write_doc(tmp_path, doc)],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = run_cli_process("validate", write_doc(tmp_path, doc))
     assert proc.returncode == 2
     assert "nested deeper" in proc.stderr
     assert f"column {MAX_GUARD_DEPTH + 1}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[" * 100000, "nested too deeply"),
+    (b"\xff\xfe{}", "not UTF-8"),
+    (b"1" * 5000, "digits"),
+], ids=["deep-json", "not-utf8", "long-number"])
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_hostile_system_file_exits_2(tmp_path, ab_files, command, content,
+                                     message):
+    system = tmp_path / "hostile.json"
+    system.write_bytes(content)
+    argv = [command, str(system)]
+    if command == "analyze":
+        argv.append(ab_files[1])
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 2
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
