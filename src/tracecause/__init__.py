@@ -23,10 +23,11 @@ from .engine import (CandidateSet, CauseReport, ComplexityNote,
                      enumerate_causal_sets, enumerate_with_stats,
                      manifestation_operand, manifests, minimal_antichain,
                      mitigates, mitigation_operand)
-from .errors import (DomainMismatch, DuplicateAssignment, HorizonMismatch,
-                     MissingVariable, NotAnErrorTrace, ParseError,
-                     SchemaError, TraceCauseError, UndeclaredVariable,
-                     UnknownComponent, UnknownVariable, ValidationError)
+from .errors import (BudgetExceeded, DomainMismatch, DuplicateAssignment,
+                     HorizonMismatch, MissingVariable, NotAnErrorTrace,
+                     ParseError, SchemaError, TraceCauseError,
+                     UndeclaredVariable, UnknownComponent, UnknownVariable,
+                     ValidationError)
 from .guards import (Guard, cube, guard_eval, guard_text, guard_vars,
                      parse_guard, satisfiable)
 from .model import (Component, SystemModel, ViolationReport,

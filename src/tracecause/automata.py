@@ -13,8 +13,11 @@ AND and OR of edge masks, and each automaton caches per scope the edge
 taken on every letter, from which its transition table is read.  A
 product never builds guards to explore: it combines its members' edge
 rows, fills its own transition table as it goes, and builds its guarded
-edges only when they are asked for.  A scope of n variables has 2^n
-letters, so variable counts stay small.
+edges only when they are asked for.  Horizon questions build no product
+at all: `has_trace_of_length` walks the states of one automaton and
+`has_joint_trace_of_length` pairs of states of two, both over the
+automata's own transition tables, by the same layered search.  A scope
+of n variables has 2^n letters, so variable counts stay small.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -572,27 +575,32 @@ def contains(a: SafetyAutomaton, b: SafetyAutomaton) -> ContainmentResult:
     return ContainmentResult(True, None, len(parents), max_depth)
 
 
+def _has_path_of_length(start: State, successors, good, h: int) -> bool:
+    """True iff some path of exactly ``h`` steps from ``start`` stays in
+    good states, where ``successors`` gives a state's successors (one per
+    letter) and ``good`` keeps the good states of a frozenset; decided by
+    h-step forward reachability."""
+    if h < 0:
+        raise ValueError("length must be nonnegative")
+    layer = good(frozenset((start,)))
+    # The layer sequence is eventually periodic and an empty layer stays
+    # empty, so once a layer repeats, every later layer is empty exactly
+    # when it is: stop there instead of iterating a huge horizon.
+    seen = set()
+    for _ in range(h):
+        if layer in seen:
+            break
+        seen.add(layer)
+        layer = good(frozenset().union(*map(successors, layer)))
+    return bool(layer)
+
+
 def has_trace_of_length(a: SafetyAutomaton, h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted, decided by
     h-step forward reachability through good states."""
-    if h < 0:
-        raise ValueError("length must be nonnegative")
-    if a.initial in a.bad:
-        return False
-    table = a.transition_table(a.vars)
-    # The layer sequence after k steps is eventually periodic; jump over
-    # the cycle instead of iterating a potentially huge horizon.
-    history = [frozenset((a.initial,))]
-    seen = {history[0]: 0}
-    while len(history) <= h:
-        nxt = frozenset(t for q in history[-1] for t in table[q]
-                        if t not in a.bad)
-        if nxt in seen:
-            j = seen[nxt]
-            return bool(history[j + (h - j) % (len(history) - j)])
-        seen[nxt] = len(history)
-        history.append(nxt)
-    return bool(history[h])
+    table, bad = a.transition_table(a.vars), a.bad
+    return _has_path_of_length(a.initial, table.__getitem__,
+                               lambda qs: qs - bad, h)
 
 
 def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
@@ -632,5 +640,13 @@ def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
 def has_joint_trace_of_length(a: SafetyAutomaton, b: SafetyAutomaton,
                               h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted by both
-    automata."""
-    return has_trace_of_length(product([a, b]), h)
+    automata.  No product is built: the search walks pairs of states over
+    the two transition tables at the union scope, dropping every pair
+    with a bad coordinate."""
+    scope = tuple(sorted(a.var_set | b.var_set))
+    ta, tb = a.transition_table(scope), b.transition_table(scope)
+    bad_a, bad_b = a.bad, b.bad
+    return _has_path_of_length(
+        (a.initial, b.initial), lambda p: zip(ta[p[0]], tb[p[1]]),
+        lambda ps: frozenset(p for p in ps
+                             if p[0] not in bad_a and p[1] not in bad_b), h)

@@ -19,8 +19,9 @@ from .automata import Trace
 from .counterfactual import FaultModelKind, ModelAssignment
 from .engine import (CauseReport, EnumerationStats, _trace_to_jsonable,
                      enumerate_with_stats)
-from .errors import (HorizonMismatch, NotAnErrorTrace, ParseError,
-                     SchemaError, UnknownComponent, ValidationError)
+from .errors import (BudgetExceeded, HorizonMismatch, NotAnErrorTrace,
+                     ParseError, SchemaError, UnknownComponent,
+                     ValidationError)
 from .model import (SystemModel, faulty_components, parse_system, parse_trace,
                     validate_system, violates_global)
 
@@ -114,7 +115,7 @@ def _diag_jsonable(d) -> dict:
 def cmd_validate(args) -> int:
     try:
         m = _load_system(args)
-    except (ParseError, SchemaError) as e:
+    except (ParseError, SchemaError, BudgetExceeded) as e:
         _err(f"error: {e}")
         return 2
     except ValidationError as e:
@@ -146,7 +147,7 @@ def _prepare_analysis(args):
     """Common analyze/stats pipeline; returns (exit_code, payload)."""
     try:
         m = _load_system(args)
-    except (ParseError, SchemaError) as e:
+    except (ParseError, SchemaError, BudgetExceeded) as e:
         _err(f"error: {e}")
         return 2, None
     except ValidationError as e:

@@ -58,6 +58,15 @@ class ValidationError(TraceCauseError):
         super().__init__(message)
 
 
+class BudgetExceeded(TraceCauseError):
+    """An input is larger than a documented budget allows; it is refused
+    before any work that grows with it."""
+
+    def __init__(self, what: str, count: int, limit: int):
+        super().__init__(f"{count} {what} declared, more than the limit "
+                         f"of {limit}")
+
+
 class DomainMismatch(TraceCauseError):
     """A trace or valuation does not cover the variable scope it is used at."""
 

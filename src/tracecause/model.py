@@ -10,9 +10,10 @@ component preserves its length.
 The system file is JSON (schema documented in the README); automaton
 declarations may be left incomplete and are completed into a designated
 sink state at parse time (`complete_with`: "bad" by default, so an
-unspecified input counts as a violation).  Serialization is
-byte-deterministic: components, states and edges keep their declared
-order, guards print in canonical form, variables sort by name.
+unspecified input counts as a violation).  A system may declare at most
+`MAX_VARIABLES` variables.  Serialization is byte-deterministic:
+components, states and edges keep their declared order, guards print in
+canonical form, variables sort by name.
 """
 
 from __future__ import annotations
@@ -24,10 +25,18 @@ from typing import Iterable, Optional
 
 from .automata import (Diagnostic, RunResult, SafetyAutomaton, Trace,
                        Valuation, check_wellformed, contains, product, run)
-from .errors import (DomainMismatch, DuplicateAssignment, MissingVariable,
-                     ParseError, SchemaError, UnknownVariable,
-                     ValidationError)
-from .guards import guard_text, guard_vars, is_variable_name, negate, disj, parse_guard, satisfiable, TRUE
+from .errors import (BudgetExceeded, DomainMismatch, DuplicateAssignment,
+                     MissingVariable, ParseError, SchemaError,
+                     UnknownVariable, ValidationError)
+from .guards import (TRUE, disj, guard_mask, guard_text, guard_vars,
+                     is_variable_name, negate, parse_guard)
+from .guards import satisfiable  # noqa: F401  (rebound by bench/tracing.py)
+
+
+MAX_VARIABLES = 16
+"""Most variables a system may declare.  A scope of n variables has 2^n
+letters, and every automaton state keeps a row over them, so a larger
+system is refused (`BudgetExceeded`) before any guard is evaluated."""
 
 
 @dataclass(frozen=True)
@@ -178,11 +187,17 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
         edges[src].append((g, dst))
 
     # Complete missing transitions into a sink of the declared polarity.
+    # Coverage is decided on the edge masks; only a state that leaves some
+    # letter uncovered gets a symbolic residual guard.
+    names = sorted(scope)
+    full = (1 << (1 << len(names))) - 1
     uncovered: dict[str, object] = {}
     for s in states:
-        residual = negate(disj(g for g, _ in edges[s]))
-        if satisfiable(residual):
-            uncovered[s] = residual
+        covered = 0
+        for g, _ in edges[s]:
+            covered |= guard_mask(g, names)
+        if covered != full:
+            uncovered[s] = negate(disj(g for g, _ in edges[s]))
     bad_set = set(bad)
     if uncovered:
         sink = f"sink_{polarity}"
@@ -219,6 +234,8 @@ def system_from_dict(obj: dict) -> SystemModel:
         if name in declared:
             raise ValidationError(f"{where}: variable {name!r} declared twice")
         declared[name] = owner
+    if len(declared) > MAX_VARIABLES:
+        raise BudgetExceeded("variables", len(declared), MAX_VARIABLES)
 
     components = []
     for i, c in enumerate(_expect(obj, "components", list, "system")):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import tracecause.automata
 from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
                                  check_wellformed, contains,
                                  enumerate_valuations, find_trace_of_length,
@@ -13,14 +14,15 @@ from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
                                  has_trace_of_length, product, run,
                                  universal_automaton)
 from tracecause.counterfactual import FaultModelKind, build_fault_model
+from tracecause.engine import manifestation_operand
 from tracecause.errors import DomainMismatch
 from tracecause.guards import TRUE, And, Not, Var, guard_eval
 from tracecause.model import project_trace
 
 from conftest import always_zero
 from oracle import all_traces, oracle_accepts
-from randsys import (random_automaton, random_error_trace, random_system,
-                     random_trace)
+from randsys import (random_assignment, random_automaton, random_error_trace,
+                     random_system, random_trace)
 
 
 def T(*steps) -> Trace:
@@ -397,6 +399,80 @@ def test_has_joint_trace_of_length():
     # "x always 1" and "x always 0" share no trace of positive length
     assert not has_joint_trace_of_length(only_one, always_zero("x"), 1)
     assert has_joint_trace_of_length(only_one, always_zero("x"), 0)
+
+
+HORIZONS = list(range(9)) + [10 ** 6]
+
+
+def reference_has_trace(auts, h):
+    """Product-based reference for the horizon routine: layer-by-layer
+    reachability through the good states of ``product(auts)``, with no
+    cycle jump.  A good run as long as the product's state count repeats
+    a state, so it extends forever; longer horizons are answered there."""
+    p = product(auts)
+    table = p.transition_table(p.vars)
+    layer = set() if p.initial in p.bad else {p.initial}
+    for _ in range(min(h, p.state_count)):
+        layer = {t for q in layer for t in table[q] if t not in p.bad}
+    return bool(layer)
+
+
+def random_automaton_pairs(rng, n):
+    """Pairs of random automata over overlapping scopes, some of them
+    doomed after a few steps."""
+    scopes = [["u"], ["v"], ["u", "v"], ["v", "w"], ["u", "v", "w"]]
+    for _ in range(n):
+        yield tuple(random_automaton(rng, rng.choice(scopes),
+                                     bad_prob=rng.choice([0.1, 0.3, 0.6]))
+                    for _ in range(2))
+
+
+def randsys_operand_pairs(rng, n):
+    """(manifestation operand, global spec) of seeded random systems,
+    under random kind assignments and candidate sets."""
+    found = 0
+    while found < n:
+        m = random_system(rng)
+        tr = random_error_trace(rng, m)
+        if tr is None:
+            continue
+        found += 1
+        names = [c.name for c in m.components]
+        d = rng.sample(names, rng.randint(1, len(names)))
+        yield (manifestation_operand(m, tr, d, random_assignment(rng, m)),
+               m.global_spec)
+
+
+@pytest.mark.parametrize("pairs", [
+    lambda: random_automaton_pairs(random.Random(11), 120),
+    lambda: randsys_operand_pairs(random.Random(12), 60),
+], ids=["random-pairs", "randsys-operands"])
+def test_horizon_routine_matches_product_reference(pairs):
+    outcomes = set()
+    for a, b in pairs():
+        for h in HORIZONS:
+            assert has_trace_of_length(a, h) == reference_has_trace([a], h)
+            joint = has_joint_trace_of_length(a, b, h)
+            assert joint == reference_has_trace([a, b], h)
+            assert joint == has_joint_trace_of_length(b, a, h)
+            outcomes.add((h, joint))
+    # both answers occur, at short and at huge horizons
+    assert {(0, True), (1, False), (10 ** 6, True), (10 ** 6, False)} <= outcomes
+
+
+def test_joint_horizon_builds_no_product(monkeypatch):
+    calls = []
+
+    def counting(auts):
+        calls.append(auts)
+        return product(auts)
+
+    monkeypatch.setattr(tracecause.automata, "product", counting)
+    rng = random.Random(13)
+    for a, b in random_automaton_pairs(rng, 20):
+        for h in HORIZONS:
+            has_joint_trace_of_length(a, b, h)
+    assert calls == []
 
 
 def test_transition_table_matches_step():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import pytest
 import tracecause
 from tracecause.cli import main
 from tracecause.guards import MAX_GUARD_DEPTH
+from tracecause.model import MAX_VARIABLES
 
 from conftest import ab_doc
 
@@ -78,14 +80,20 @@ def test_validate_malformed_guard_exits_2(capsys, tmp_path):
     assert "column 4" in err
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, memory_cap=None):
     """The CLI in a fresh interpreter, so an uncaught error shows as a
-    traceback on stderr."""
+    traceback on stderr.  ``memory_cap`` (bytes) limits the child's
+    address space, so a runaway allocation fails fast."""
     src = os.path.dirname(os.path.dirname(tracecause.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_cap, memory_cap))
+
     return subprocess.run([sys.executable, "-m", "tracecause.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=cap if memory_cap else None)
 
 
 @pytest.mark.parametrize("guard", ["!" * 5000 + "x",
@@ -117,6 +125,41 @@ def test_hostile_system_file_exits_2(tmp_path, ab_files, command, content,
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def many_variables_doc(n: int) -> dict:
+    """One component owning ``n`` variables; every spec accepts all."""
+    names = [f"v{i:02d}" for i in range(n)]
+    spec = {"states": ["g"], "initial": "g",
+            "edges": [{"from": "g", "guard": "true", "to": "g"}]}
+    return {"variables": [{"name": v, "owner": "A"} for v in names],
+            "components": [{"name": "A", "inputs": [], "outputs": names,
+                            "spec": spec}],
+            "global_spec": spec}
+
+
+@pytest.mark.parametrize("n", [MAX_VARIABLES + 1, 41])
+@pytest.mark.parametrize("command", ["validate", "analyze", "stats"])
+def test_too_many_variables_exits_2(tmp_path, command, n):
+    argv = [command, write_doc(tmp_path, many_variables_doc(n))]
+    if command != "validate":
+        trace = tmp_path / "tr.txt"
+        trace.write_text(" ".join(f"v{i:02d}=0" for i in range(n)) + "\n")
+        argv.append(str(trace))
+    proc = run_cli_process(*argv, memory_cap=1 << 31)
+    assert proc.returncode == 2
+    assert (f"{n} variables declared, more than the limit of "
+            f"{MAX_VARIABLES}") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_variable_limit_itself_validates(capsys, tmp_path):
+    path = write_doc(tmp_path, many_variables_doc(MAX_VARIABLES))
+    code, out, err = run_cli(capsys, "validate", path)
+    assert code == 0
+    assert f"{MAX_VARIABLES} variable(s), refinement holds" in out
+    assert err == ""
 
 
 def test_validate_bad_json_exits_2(capsys, tmp_path):

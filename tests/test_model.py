@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+import tracecause.model
 from tracecause.automata import Trace, Valuation, run
 from tracecause.errors import (DomainMismatch, DuplicateAssignment,
                                MissingVariable, ParseError, SchemaError,
                                UnknownVariable, ValidationError)
+from tracecause.guards import canonicalize, disj, negate, parse_guard
 from tracecause.model import (Component, SystemModel, faulty_components,
                               parse_system, parse_trace, project_trace,
                               serialize_system, system_from_dict,
@@ -42,6 +44,64 @@ def test_parse_completes_missing_transitions_into_bad_sink(ab_model):
     # the completed automaton is exactly the "x always 0" monitor
     assert run(spec, T({"x": 0}, {"x": 0})).accepted
     assert not run(spec, T({"x": 1})).accepted
+
+
+def count_negate_calls(monkeypatch) -> list:
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return negate(g)
+
+    monkeypatch.setattr(tracecause.model, "negate", counting)
+    return calls
+
+
+def monitor(var: str) -> dict:
+    """A complete "``var`` always 0" monitor, as declared in a file."""
+    return {"states": ["g", "b"], "initial": "g", "bad": ["b"],
+            "edges": [{"from": "g", "guard": f"!{var}", "to": "g"},
+                      {"from": "g", "guard": var, "to": "b"},
+                      {"from": "b", "guard": "true", "to": "b"}]}
+
+
+def test_complete_spec_gets_no_sink_and_no_residual(monkeypatch):
+    doc = ab_doc()
+    doc["components"][0]["spec"] = monitor("x")
+    doc["components"][1]["spec"] = monitor("y")
+    doc["global_spec"] = monitor("y")
+    calls = count_negate_calls(monkeypatch)
+    m = system_from_dict(doc)
+    assert calls == []
+    for spec in [c.spec for c in m.components] + [m.global_spec]:
+        assert spec.states == ("g", "b")
+        assert spec.edge_count == 3
+
+
+@pytest.mark.parametrize("polarity", ["bad", "good"])
+def test_incomplete_state_gets_the_residual_guard(monkeypatch, polarity):
+    spec = {"states": ["g", "h", f"sink_{polarity}"], "initial": "g",
+            "complete_with": polarity,
+            "edges": [{"from": "g", "guard": "x & y", "to": "h"},
+                      {"from": "g", "guard": "!x", "to": "g"},
+                      {"from": "h", "guard": "true", "to": "h"},
+                      {"from": f"sink_{polarity}", "guard": "true",
+                       "to": f"sink_{polarity}"}]}
+    doc = ab_doc()
+    doc["global_spec"] = spec
+    calls = count_negate_calls(monkeypatch)
+    m = system_from_dict(doc)
+    # one residual per incomplete state: "g" in each component spec and
+    # "g" here; "h" and the declared sink are complete
+    assert len(calls) == 3
+    g = m.global_spec
+    sink = f"_sink_{polarity}"  # the declared name is taken
+    assert g.states == ("g", "h", f"sink_{polarity}", sink)
+    assert (sink in g.bad) == (polarity == "bad")
+    residual = negate(disj([parse_guard("x & y"), parse_guard("!x")]))
+    assert g.edges["g"][-1] == (canonicalize(residual), sink)
+    assert len(g.edges["h"]) == 1
+    assert g.edges[sink] == ((parse_guard("true"), sink),)
 
 
 def test_complete_with_good_makes_unspecified_inputs_legal():
