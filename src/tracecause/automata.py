@@ -33,6 +33,7 @@ from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import getitem
+from struct import unpack
 from typing import Hashable, Iterable, Optional
 
 from .errors import DomainMismatch
@@ -219,13 +220,15 @@ class SafetyAutomaton:
     which reports diagnostics instead of raising so that counterexamples
     can name the offending state and rule.
 
-    Per scope, the edge taken on each letter and the transition table
-    are computed once and cached; `product` fills its result's table
-    while exploring.
+    The edge masks over the automaton's own variables are computed once
+    (or handed over by the parser, which needs them for completion) and
+    cached; so are, per scope, the edge taken on each letter and the
+    transition table.  `product` fills its result's table while
+    exploring.
     """
 
-    __slots__ = ("vars", "states", "initial", "bad", "edges", "_rows",
-                 "_tables")
+    __slots__ = ("vars", "states", "initial", "bad", "edges", "_masks",
+                 "_rows", "_tables")
 
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
@@ -268,6 +271,7 @@ class SafetyAutomaton:
         self.initial = initial
         self.bad = bad_set
         self.edges = normalized
+        self._masks: Optional[dict[State, tuple[int, ...]]] = None
         self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
 
@@ -314,21 +318,38 @@ class SafetyAutomaton:
             rows = self._rows[scope] = self._letter_rows(scope)
         return rows
 
+    def _edge_masks(self) -> dict[State, tuple[int, ...]]:
+        """Per state, the `guard_mask` of each edge over ``vars``.  Cached."""
+        if self._masks is None:
+            self._masks = {q: tuple(guard_mask(g, self.vars)
+                                    for g, _ in self.edges[q])
+                           for q in self.states}
+        return self._masks
+
     def _letter_rows(self, scope: tuple[str, ...]
                      ) -> dict[State, tuple[Optional[int], ...]]:
-        """`_edge_rows` uncached, from the guard masks."""
+        """`_edge_rows` uncached, from the guard masks, in time linear in
+        the number of letters: each edge's letters are peeled off its mask
+        one 64-bit word at a time (peeling the whole mask would copy a
+        2^n-bit integer per letter)."""
+        own = self._edge_masks() if scope == self.vars else None
         nletters = 1 << len(scope)
         rows = {}
         for q in self.states:
             row: list[Optional[int]] = [None] * nletters
             free = (1 << nletters) - 1
-            for k, (g, _) in enumerate(self.edges[q]):
-                m = guard_mask(g, scope) & free
+            masks = own[q] if own is not None else [
+                guard_mask(g, scope) for g, _ in self.edges[q]]
+            for k, m in enumerate(masks):
+                m &= free
                 free ^= m
-                while m:
-                    low = m & -m
-                    row[low.bit_length() - 1] = k
-                    m ^= low
+                words = (m,) if nletters <= 64 else unpack(
+                    f"<{nletters >> 6}Q", m.to_bytes(nletters >> 3, "little"))
+                for base, w in zip(range(-1, nletters, 64), words):
+                    while w:
+                        low = w & -w
+                        row[base + low.bit_length()] = k
+                        w ^= low
             rows[q] = tuple(row)
         return rows
 
@@ -378,10 +399,10 @@ def check_wellformed(a: SafetyAutomaton) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     full = (1 << (1 << len(a.vars))) - 1
+    masks = a._edge_masks()
     for q in a.states:
         covered = overlap = 0
-        for g, _ in a.edges[q]:
-            m = guard_mask(g, a.vars)
+        for m in masks[q]:
             overlap |= covered & m
             covered |= m
         for kind, what, hits in (("nondeterministic-state", "several edges",
@@ -519,7 +540,7 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     p.bad = frozenset(s for s in succ_of
                       if any(map(frozenset.__contains__, bads, s)))
     p._members, p._succ, p._edges = tuple(automata), succ_of, None
-    p._rows = {}
+    p._masks, p._rows = None, {}
     # An incomplete product gets its table (which raises) the usual way.
     incomplete = partial and any(None in row for row in table.values())
     p._tables = {} if incomplete else {scope: table}

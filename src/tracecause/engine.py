@@ -316,16 +316,30 @@ def minimal_antichain(sets: Iterable[Candidates]) -> list[CandidateSet]:
 
 def _monotone_assignment(m: SystemModel, tr: Trace, asg: ModelAssignment,
                          cache: dict) -> bool:
-    # Pruning is sound when growing the candidate set can only shrink
-    # (mitigation) or grow (existential manifestation) the operand, i.e.
-    # when each component's counterfactual language is contained in its
-    # fault language.
+    # When each component's counterfactual language is contained in its
+    # fault language, growing the candidate set can only shrink
+    # (mitigation) or grow (existential manifestation) the operand, so
+    # the predicate is upward-closed: a superset of a satisfying set
+    # satisfies it and a subset of a failing set fails it.
     for c in m.components:
         cf = _cached_factor(cache, c, asg.cf_kind(c.name), tr)
         fault = _cached_factor(cache, c, asg.fault_kind(c.name), tr)
         if not contains(cf, fault).holds:
             return False
     return True
+
+
+def _level_order(k: int) -> list[int]:
+    """The subset sizes 0..k from both ends, two at a time, starting at
+    the bottom: 0, 1, k, k-1, 2, 3, k-2, k-3, ..."""
+    order: list[int] = []
+    lo, hi = 0, k
+    while lo <= hi:
+        order += range(lo, min(lo + 2, hi + 1))
+        lo += 2
+        order += range(hi, max(hi - 2, lo - 1), -1)
+        hi -= 2
+    return order
 
 
 def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
@@ -336,7 +350,10 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
                          prune: bool = True
                          ) -> tuple[CauseReport, EnumerationStats]:
     """`enumerate_causal_sets` plus the work counters the report must not
-    contain (so that pruned and unpruned runs report identically)."""
+    contain (so that pruned and unpruned runs report identically): sets
+    evaluated, sets decided without evaluation (``pruned``; the two add
+    up to 2^k) and one `SetMetrics` row per evaluated set, in
+    size-then-lexicographic order."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if quantifier not in QUANTIFIERS:
@@ -358,16 +375,20 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
         monotone = _monotone_assignment(m, tr, asg, cache)
 
     effective_quantifier = quantifier if mode == "manifestation" else None
+    # Only minimal sets of an upward-closed predicate are wanted: skip
+    # every set an earlier verdict decides (see `enumerate_causal_sets`).
+    search = minimal_only and monotone
     evaluated = 0
     pruned = 0
     satisfying: list[frozenset[str]] = []
+    failing: list[frozenset[str]] = []
     entries: list[tuple[CandidateSet, Verdict]] = []
     rows: list[SetMetrics] = []
-    for size in range(k + 1):
+    for size in (_level_order(k) if search else range(k + 1)):
         for combo in combinations(universe, size):
             members = frozenset(combo)
-            if (minimal_only and monotone
-                    and any(s < members for s in satisfying)):
+            if search and (any(s < members for s in satisfying)
+                           or any(members < f for f in failing)):
                 pruned += 1
                 continue
             verdict, metrics = _evaluate(m, tr, members, asg, mode,
@@ -375,8 +396,10 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
             evaluated += 1
             entries.append((CandidateSet(members), verdict))
             rows.append(metrics)
-            if verdict.holds:
-                satisfying.append(members)
+            (satisfying if verdict.holds else failing).append(members)
+    if search:
+        entries.sort(key=lambda e: e[0].sort_key)
+        rows.sort(key=lambda r: (len(r.members), r.members))
 
     minimal = tuple(minimal_antichain(CandidateSet(s) for s in satisfying))
     if minimal_only:
@@ -412,10 +435,20 @@ def enumerate_causal_sets(m: SystemModel, tr: Trace, mode: str,
                           minimal_only: bool = False,
                           allow_nonfaulty: bool = False,
                           prune: bool = True) -> CauseReport:
-    """Evaluate the mode predicate on every subset of the candidate
-    universe (the locally faulty components, unless ``allow_nonfaulty``)
-    in size-then-lexicographic order and report the satisfying sets and
-    their minimal antichain."""
+    """Decide the mode predicate on every subset of the candidate universe
+    (the locally faulty components, unless ``allow_nonfaulty``) and report
+    the satisfying sets and their minimal antichain, verdicts in
+    size-then-lexicographic order.
+
+    By default every subset is evaluated, bottom-up.  With
+    ``minimal_only`` under a monotone assignment (mitigation or
+    existential manifestation, each counterfactual language inside its
+    fault language) the predicate is upward-closed, so the lattice is
+    visited from both ends, two levels at a time (sizes 0, 1, k, k-1, 2,
+    3, k-2, ...), and a set is evaluated only when no earlier verdict
+    decides it: a superset of a satisfying set is not minimal, a subset of
+    a failing set fails.  ``prune=False`` forces the exhaustive loop; the
+    report is the same either way."""
     report, _ = enumerate_with_stats(m, tr, mode, asg, quantifier,
                                      minimal_only, allow_nonfaulty, prune)
     return report

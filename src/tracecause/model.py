@@ -188,16 +188,20 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
 
     # Complete missing transitions into a sink of the declared polarity.
     # Coverage is decided on the edge masks; only a state that leaves some
-    # letter uncovered gets a symbolic residual guard.
+    # letter uncovered gets a symbolic residual guard.  The masks, the
+    # residual's and the sink's included, go to the automaton, so the
+    # wellformedness check and its transition tables reuse them.
     names = sorted(scope)
     full = (1 << (1 << len(names))) - 1
+    masks = {s: [guard_mask(g, names) for g, _ in edges[s]] for s in states}
     uncovered: dict[str, object] = {}
     for s in states:
         covered = 0
-        for g, _ in edges[s]:
-            covered |= guard_mask(g, names)
+        for m in masks[s]:
+            covered |= m
         if covered != full:
             uncovered[s] = negate(disj(g for g, _ in edges[s]))
+            masks[s].append(full & ~covered)
     bad_set = set(bad)
     if uncovered:
         sink = f"sink_{polarity}"
@@ -205,12 +209,14 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
             sink = "_" + sink
         states = states + [sink]
         edges[sink] = [(TRUE, sink)]
+        masks[sink] = [full]
         if polarity == "bad":
             bad_set.add(sink)
         for s, residual in uncovered.items():
             edges[s].append((residual, sink))
 
     aut = SafetyAutomaton(scope, states, initial, bad_set, edges)
+    aut._masks = {s: tuple(ms) for s, ms in masks.items()}
     diags = check_wellformed(aut)
     if diags:
         raise ValidationError(

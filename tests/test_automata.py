@@ -16,7 +16,7 @@ from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
 from tracecause.counterfactual import FaultModelKind, build_fault_model
 from tracecause.engine import manifestation_operand
 from tracecause.errors import DomainMismatch
-from tracecause.guards import TRUE, And, Not, Var, guard_eval
+from tracecause.guards import TRUE, And, Not, Or, Var, guard_eval
 from tracecause.model import project_trace
 
 from conftest import always_zero
@@ -483,3 +483,49 @@ def test_transition_table_matches_step():
         for q in a.states:
             for i, v in enumerate(enumerate_valuations(["u", "v"])):
                 assert table[q][i] == a.step(q, v)
+
+
+# ---------------------------------------------------------------------------
+# edge rows
+
+def random_guard(rng, names, depth=3):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return Var(rng.choice(names)) if rng.random() < 0.9 else TRUE
+    if roll < 0.45:
+        return Not(random_guard(rng, names, depth - 1))
+    parts = tuple(random_guard(rng, names, depth - 1)
+                  for _ in range(rng.randint(2, 3)))
+    return And(parts) if roll < 0.75 else Or(parts)
+
+
+def random_guarded_automaton(rng, names):
+    """Random guards, so states may overlap and leave letters uncovered."""
+    states = [f"s{i}" for i in range(rng.randint(1, 3))]
+    edges = {q: [(random_guard(rng, names), rng.choice(states))
+                 for _ in range(rng.randint(0, 4))]
+             for q in states}
+    return SafetyAutomaton(names, states, states[0], [], edges)
+
+
+def reference_edge_rows(a, scope):
+    """Per state, the first edge whose guard holds on each letter."""
+    letters = enumerate_valuations(scope)
+    return {q: tuple(next((k for k, (g, _) in enumerate(a.edges[q])
+                           if guard_eval(g, v)), None) for v in letters)
+            for q in a.states}
+
+
+def test_edge_rows_match_per_letter_reference():
+    rng = random.Random(17)
+    overlapping = incomplete = 0
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        names = [f"v{i}" for i in range(n)]
+        a = random_guarded_automaton(rng, rng.sample(names, rng.randint(1, n)))
+        kinds = {d.kind for d in check_wellformed(a)}
+        overlapping += "nondeterministic-state" in kinds
+        incomplete += "incomplete-state" in kinds
+        for scope in (a.vars, tuple(names)):
+            assert a._edge_rows(scope) == reference_edge_rows(a, scope)
+    assert overlapping and incomplete

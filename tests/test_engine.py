@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from tracecause.automata import Trace, Valuation, contains, run
-from tracecause.counterfactual import FaultModelKind, ModelAssignment
-from tracecause.engine import (CandidateSet, enumerate_causal_sets,
-                               enumerate_with_stats, manifestation_operand,
-                               manifests, minimal_antichain, mitigates,
+from tracecause.counterfactual import (ComponentKinds, FaultModelKind,
+                                       ModelAssignment)
+from tracecause.engine import (CandidateSet, _monotone_assignment,
+                               enumerate_causal_sets, enumerate_with_stats,
+                               manifestation_operand, manifests,
+                               minimal_antichain, mitigates,
                                mitigation_operand)
 from tracecause.errors import NotAnErrorTrace, UnknownComponent
 from tracecause.guards import TRUE
@@ -18,6 +21,7 @@ from tracecause.model import Component, SystemModel, system_from_dict
 
 from conftest import always_zero
 from oracle import all_traces
+from randsys import random_error_trace, random_system
 from tracecause.automata import SafetyAutomaton, product
 
 K = FaultModelKind
@@ -270,3 +274,112 @@ def test_three_faulty_components_unpruned_is_eight_subsets():
     tr = T({"v0": 1, "v1": 1, "v2": 1})
     _, stats = enumerate_with_stats(m, tr, "mitigation", prune=False)
     assert stats.evaluated == 8 and stats.pruned == 0
+
+
+# ---------------------------------------------------------------------------
+# minimal-set search under a monotone assignment
+
+# (cf, fault) pairs whose counterfactual language lies in the fault language
+MONOTONE_KINDS = [(K.SPEC, K.ARBITRARY), (K.PREFIX_CORRECT, K.SPEC),
+                  (K.OBSERVED_FULL, K.OBSERVED_OUT),
+                  (K.OBSERVED_OUT, K.ARBITRARY),
+                  (K.PREFIX_CORRECT, K.ARBITRARY)]
+MONOTONE_MODES = [("mitigation", "existential"),
+                  ("manifestation", "existential")]
+
+
+def monotone_cases(rng, n):
+    """Seeded random systems and error traces, each with the all-arbitrary
+    assignment and a mixed one `_monotone_assignment` accepts."""
+    found = 0
+    while found < n:
+        m = random_system(rng, max_components=5, max_good=2)
+        tr = random_error_trace(rng, m)
+        if tr is None:
+            continue
+        mixed = ModelAssignment({
+            c.name: ComponentKinds(*rng.choice(MONOTONE_KINDS))
+            for c in m.components})
+        assert _monotone_assignment(m, tr, mixed, {})
+        found += 1
+        yield m, tr, ModelAssignment.defaults(m, fault_kind=K.ARBITRARY)
+        yield m, tr, mixed
+
+
+def test_monotone_search_matches_exhaustive_enumeration():
+    rng = random.Random(2024)
+    sizes = set()
+    for m, tr, asg in monotone_cases(rng, 60):
+        for mode, quantifier in MONOTONE_MODES:
+            for allow_nonfaulty in (False, True):
+                kw = dict(quantifier=quantifier, minimal_only=True,
+                          allow_nonfaulty=allow_nonfaulty)
+                rep, st = enumerate_with_stats(m, tr, mode, asg, **kw)
+                plain, _ = enumerate_with_stats(m, tr, mode, asg,
+                                                prune=False, **kw)
+                assert rep.to_dict() == plain.to_dict()
+                k = len(rep.candidates)
+                sizes.add(k)
+                assert st.monotone_pruning
+                assert st.evaluated + st.pruned == 2 ** k
+                assert len(st.per_set) == st.evaluated
+                assert [r.members for r in st.per_set] == sorted(
+                    (r.members for r in st.per_set),
+                    key=lambda ms: (len(ms), ms))
+    assert max(sizes) >= 4
+
+
+def independent_family(k: int, safe: str = ""):
+    """k components, Ci keeping o_i at 0; the global spec allows the
+    letters where ``safe`` holds, by default every letter but the one
+    with all o_i set, which the one-step trace takes."""
+    outs = [f"o{i}" for i in range(k)]
+    doc = {
+        "variables": [{"name": o, "owner": f"C{i}"}
+                      for i, o in enumerate(outs)],
+        "components": [
+            {"name": f"C{i}", "inputs": [], "outputs": [o],
+             "spec": {"states": ["g"], "initial": "g", "bad": [],
+                      "edges": [{"from": "g", "guard": f"!{o}", "to": "g"}]}}
+            for i, o in enumerate(outs)],
+        "global_spec": {"states": ["g"], "initial": "g", "bad": [],
+                        "edges": [{"from": "g", "to": "g", "guard": safe or
+                                   " | ".join(f"!{o}" for o in outs)}]},
+    }
+    return system_from_dict(doc), T(dict.fromkeys(outs, 1))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_monotone_search_counts_on_independent_family(k):
+    m, tr = independent_family(k)
+    asg = ModelAssignment.defaults(m, fault_kind=K.ARBITRARY)
+    names = tuple(f"C{i}" for i in range(k))
+    for mode, bound, minimal in (
+            ("mitigation", k + 1, [(n,) for n in names]),
+            ("manifestation", 2 * k + 2, [names])):
+        rep, st = enumerate_with_stats(m, tr, mode, asg, minimal_only=True)
+        assert [s.sorted_members for s in rep.minimal] == minimal
+        assert st.evaluated <= bound, (mode, st.evaluated)
+        assert st.evaluated + st.pruned == 2 ** k
+
+
+def test_monotone_search_lists_minimal_sets_by_size():
+    # Correcting {C0,C1} or {C1,C2,C3} keeps the letters safe; the search
+    # finds the larger set first (sizes 0, 1, 4, 3, 2).
+    m, tr = independent_family(4, "(!o0 & !o1) | (!o1 & !o2 & !o3)")
+    asg = ModelAssignment.defaults(m, fault_kind=K.ARBITRARY)
+    rep, _ = enumerate_with_stats(m, tr, "mitigation", asg, minimal_only=True)
+    plain, _ = enumerate_with_stats(m, tr, "mitigation", asg,
+                                    minimal_only=True, prune=False)
+    assert rep.to_dict() == plain.to_dict()
+    assert [cs.sorted_members for cs, _ in rep.verdicts] == [
+        ("C0", "C1"), ("C1", "C2", "C3")]
+
+
+def test_non_monotone_assignment_evaluates_every_subset():
+    m, tr = independent_family(4)
+    asg = ModelAssignment.defaults(m)  # observed-out faults: not monotone
+    for mode in ("mitigation", "manifestation"):
+        _, st = enumerate_with_stats(m, tr, mode, asg, minimal_only=True)
+        assert not st.monotone_pruning
+        assert (st.evaluated, st.pruned) == (16, 0)

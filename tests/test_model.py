@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+import tracecause.automata
 import tracecause.model
 from tracecause.automata import Trace, Valuation, run
 from tracecause.errors import (DomainMismatch, DuplicateAssignment,
                                MissingVariable, ParseError, SchemaError,
                                UnknownVariable, ValidationError)
-from tracecause.guards import canonicalize, disj, negate, parse_guard
+from tracecause.guards import (canonicalize, disj, guard_mask, negate,
+                               parse_guard)
 from tracecause.model import (Component, SystemModel, faulty_components,
                               parse_system, parse_trace, project_trace,
                               serialize_system, system_from_dict,
@@ -102,6 +105,31 @@ def test_incomplete_state_gets_the_residual_guard(monkeypatch, polarity):
     assert g.edges["g"][-1] == (canonicalize(residual), sink)
     assert len(g.edges["h"]) == 1
     assert g.edges[sink] == ((parse_guard("true"), sink),)
+
+
+def test_parse_computes_each_edge_mask_once(monkeypatch):
+    calls = []
+
+    def counting(g, names):
+        calls.append(g)
+        return guard_mask(g, names)
+
+    monkeypatch.setattr(tracecause.model, "guard_mask", counting)
+    monkeypatch.setattr(tracecause.automata, "guard_mask", counting)
+    doc = ab_doc()  # every state incomplete: residuals and sinks too
+    doc["global_spec"] = monitor("y")
+    m = parse_system(json.dumps(doc))
+    auts = [c.spec for c in m.components] + [m.global_spec]
+    for a in auts:
+        a.transition_table(a.vars)
+    declared = sum(len(c["spec"]["edges"]) for c in doc["components"])
+    assert len(calls) == declared + len(doc["global_spec"]["edges"])
+    # The masks handed over, the completion's included, are the masks.
+    monkeypatch.undo()
+    for a in auts:
+        assert a._masks == {q: tuple(guard_mask(g, a.vars)
+                                     for g, _ in a.edges[q])
+                            for q in a.states}
 
 
 def test_complete_with_good_makes_unspecified_inputs_legal():
