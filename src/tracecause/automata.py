@@ -8,16 +8,16 @@ construction and safe to share across threads (the only internal
 mutations fill caches: per-scope edge rows and transition tables, and a
 product's guarded edges; each fill is idempotent).
 
-Guards meet letters only through `guards.guard_mask`: wellformedness is
-AND and OR of edge masks, and each automaton caches per scope the edge
-taken on every letter, from which its transition table is read.  A
-product never builds guards to explore: it combines its members' edge
-rows, fills its own transition table as it goes, and builds its guarded
-edges only when they are asked for.  Horizon questions build no product
-at all: `has_trace_of_length` walks the states of one automaton and
-`has_joint_trace_of_length` pairs of states of two, both over the
-automata's own transition tables, by the same layered search.  A scope
-of n variables has 2^n letters, so variable counts stay small.
+Guards are kept as given and printed canonicalized.  They meet letters
+once per automaton, through `guards.guard_mask`, in the edge each state
+takes on each letter of its own variables; `step`, wellformedness and
+every transition table read those rows, and a wider scope reads each
+letter's entry at its restriction.  A product never builds guards to
+explore: it combines its members' edge rows and fills its transition
+table as it goes.  Horizon questions build no product at all: one
+layered search walks the states of one automaton (`has_trace_of_length`)
+or pairs of states of two (`has_joint_trace_of_length`) over their own
+transition tables.  A scope of n variables has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -37,9 +37,9 @@ from struct import unpack
 from typing import Hashable, Iterable, Optional
 
 from .errors import DomainMismatch
-from .guards import (And, Guard, TRUE, canonicalize, guard_eval, guard_mask,
-                     guard_text, guard_vars, is_variable_name)
-from .guards import conj  # noqa: F401  (rebound by bench/tracing.py)
+from .guards import (And, Guard, TRUE, canonicalize, guard_mask, guard_text,
+                     guard_vars, is_variable_name)
+from .guards import conj, guard_eval  # noqa: F401  (rebound by bench/tracing.py)
 
 State = Hashable
 
@@ -214,11 +214,12 @@ class SafetyAutomaton:
     """Deterministic complete automaton with absorbing bad states.
 
     ``edges`` maps every state to an ordered tuple of (guard, target)
-    pairs.  Construction checks referential integrity and guard scope
-    only; the semantic invariants (determinism, completeness, absorbing
-    bad states, good initial state) are checked by `check_wellformed`,
-    which reports diagnostics instead of raising so that counterexamples
-    can name the offending state and rule.
+    pairs, the guards kept as given (serialization and diagnostics print
+    them canonicalized).  Construction checks referential integrity and
+    guard scope only; the semantic invariants (determinism, completeness,
+    absorbing bad states, good initial state) are checked by
+    `check_wellformed`, which reports diagnostics instead of raising so
+    that counterexamples can name the offending state and rule.
 
     The edge masks over the automaton's own variables are computed once
     (or handed over by the parser, which needs them for completion) and
@@ -251,18 +252,15 @@ class SafetyAutomaton:
         normalized: dict[State, tuple[tuple[Guard, State], ...]] = {}
         scope = frozenset(var_tuple)
         for q in state_tuple:
-            out = []
-            for g, t in edges.get(q, ()):
+            normalized[q] = tuple((g, t) for g, t in edges.get(q, ()))
+            for g, t in normalized[q]:
                 if t not in state_set:
                     raise ValueError(f"edge from {q!r} targets unknown state {t!r}")
-                g = canonicalize(g)
                 extra = guard_vars(g) - scope
                 if extra:
                     raise ValueError(
                         f"guard on edge from {q!r} mentions undeclared "
                         f"variable {sorted(extra)[0]!r}")
-                out.append((g, t))
-            normalized[q] = tuple(out)
         unknown = set(edges) - state_set
         if unknown:
             raise ValueError(f"edges declared for unknown state {sorted(map(repr, unknown))[0]}")
@@ -287,18 +285,21 @@ class SafetyAutomaton:
     def edge_count(self) -> int:
         return sum(len(v) for v in self.edges.values())
 
-    def is_bad(self, q: State) -> bool:
-        return q in self.bad
-
     def step(self, q: State, v: Mapping[str, int]) -> State:
-        """Target of the unique enabled edge from ``q`` under ``v``.
-
-        Assumes wellformedness; on an incomplete state this raises.
-        """
-        for g, t in self.edges[q]:
-            if guard_eval(g, v):
-                return t
-        raise RuntimeError(f"no enabled edge from state {q!r} (automaton incomplete)")
+        """Target of the first enabled edge from ``q`` on the restriction
+        of ``v`` to ``vars``, read off the edge rows over ``vars``.  Raises
+        `DomainMismatch` if ``v`` lacks one of ``vars``, and `RuntimeError`
+        where no edge is enabled (the automaton is incomplete)."""
+        i = 0
+        for name in self.vars:
+            if name not in v:
+                raise DomainMismatch(f"valuation lacks variable {name!r}")
+            i = i << 1 | v[name]
+        k = self._edge_rows(self.vars)[q][i]
+        if k is None:
+            raise RuntimeError(
+                f"no enabled edge from state {q!r} (automaton incomplete)")
+        return self._targets(q)[k]
 
     def _targets(self, q: State) -> list[State]:
         """Targets of the edges of ``q``, in edge order."""
@@ -308,14 +309,21 @@ class SafetyAutomaton:
                    ) -> dict[State, tuple[Optional[int], ...]]:
         """Per state, the index of the edge taken on each letter of the
         sorted ``scope`` (None where no edge is enabled); the first enabled
-        edge wins, as in `step`.  Cached."""
+        edge wins.  Only the rows over ``vars`` read guards; a wider scope
+        maps each letter to its restriction (`_projection`).  Cached."""
         rows = self._rows.get(scope)
         if rows is None:
             if not self.var_set <= set(scope):
                 raise DomainMismatch(
                     f"scope {list(scope)} does not cover automaton variables "
                     f"{list(self.vars)}")
-            rows = self._rows[scope] = self._letter_rows(scope)
+            if scope == self.vars:
+                rows = self._rows[scope] = self._letter_rows()
+            else:
+                index = _projection(scope, self.var_set)
+                rows = self._rows[scope] = {
+                    q: tuple(map(r.__getitem__, index))
+                    for q, r in self._edge_rows(self.vars).items()}
         return rows
 
     def _edge_masks(self) -> dict[State, tuple[int, ...]]:
@@ -326,21 +334,18 @@ class SafetyAutomaton:
                            for q in self.states}
         return self._masks
 
-    def _letter_rows(self, scope: tuple[str, ...]
-                     ) -> dict[State, tuple[Optional[int], ...]]:
-        """`_edge_rows` uncached, from the guard masks, in time linear in
-        the number of letters: each edge's letters are peeled off its mask
-        one 64-bit word at a time (peeling the whole mask would copy a
-        2^n-bit integer per letter)."""
-        own = self._edge_masks() if scope == self.vars else None
-        nletters = 1 << len(scope)
+    def _letter_rows(self) -> dict[State, tuple[Optional[int], ...]]:
+        """`_edge_rows` over ``vars`` uncached, from the edge masks, in
+        time linear in the number of letters: each edge's letters are
+        peeled off its mask one 64-bit word at a time (peeling the whole
+        mask would copy a 2^n-bit integer per letter)."""
+        masks = self._edge_masks()
+        nletters = 1 << len(self.vars)
         rows = {}
         for q in self.states:
             row: list[Optional[int]] = [None] * nletters
             free = (1 << nletters) - 1
-            masks = own[q] if own is not None else [
-                guard_mask(g, scope) for g, _ in self.edges[q]]
-            for k, m in enumerate(masks):
+            for k, m in enumerate(masks[q]):
                 m &= free
                 free ^= m
                 words = (m,) if nletters <= 64 else unpack(
@@ -385,6 +390,19 @@ class SafetyAutomaton:
                 f"states={self.state_count}, bad={len(self.bad)})")
 
 
+def _projection(scope: tuple[str, ...], names: frozenset[str]) -> list[int]:
+    """For each letter of the sorted ``scope``, the index of its restriction
+    to ``names``: each variable, from the last up, doubles the list."""
+    index, bit = [0], 1
+    for name in reversed(scope):
+        if name in names:
+            index += [i + bit for i in index]
+            bit <<= 1
+        else:
+            index += index
+    return index
+
+
 def universal_automaton(vars: Iterable[str]) -> SafetyAutomaton:
     """The automaton accepting every trace over ``vars``."""
     return SafetyAutomaton(vars, ["ok"], "ok", [], {"ok": [(TRUE, "ok")]})
@@ -420,7 +438,7 @@ def check_wellformed(a: SafetyAutomaton) -> list[Diagnostic]:
                     diags.append(Diagnostic(
                         "non-absorbing-bad", str(q),
                         f"bad state {q!r} has an edge to good state {t!r} "
-                        f"(guard {guard_text(g)})"))
+                        f"(guard {guard_text(canonicalize(g))})"))
                     break
     if a.initial in a.bad:
         diags.append(Diagnostic(
@@ -433,11 +451,8 @@ def run(a: SafetyAutomaton, t: Trace) -> RunResult:
     """Simulate the unique run of ``a`` on ``t``.
 
     Extra trace variables are ignored (implicit cylindrification); the
-    trace domain must cover the automaton's variables.
+    trace domain must cover the automaton's variables (`step`).
     """
-    if t.domain is not None and not a.var_set <= t.domain:
-        missing = sorted(a.var_set - t.domain)
-        raise DomainMismatch(f"trace lacks automaton variable {missing[0]!r}")
     q = a.initial
     for i, v in enumerate(t):
         q = a.step(q, v)
@@ -473,11 +488,10 @@ class _Product(SafetyAutomaton):
     def _targets(self, q: State) -> list[State]:
         return list(self._succ[q].values())
 
-    def _letter_rows(self, scope: tuple[str, ...]
-                     ) -> dict[State, tuple[Optional[int], ...]]:
+    def _letter_rows(self) -> dict[State, tuple[Optional[int], ...]]:
         """Edge rows from the members' rows: the edge taken on a letter is
         the rank of the tuple of member edges taken on it."""
-        member_rows = [a._edge_rows(scope) for a in self._members]
+        member_rows = [a._edge_rows(self.vars) for a in self._members]
         rows = {}
         for s, succ in self._succ.items():
             index = {combo: k for k, combo in enumerate(succ)}

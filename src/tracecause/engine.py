@@ -252,16 +252,11 @@ def _evaluate(m: SystemModel, tr: Trace, members: frozenset[str],
     realizable = has_trace_of_length(operand, h)
     pairs = 0
     depth = 0
-    if mode == "mitigation":
+    if mode == "mitigation" or quantifier == "existential":
+        # A containment witness exists exactly when containment fails.
         res = contains(operand, m.global_spec)
         pairs, depth = res.pairs_explored, res.bfs_depth
-        verdict = Verdict(res.holds, None if res.holds else res.witness,
-                          not realizable, stats)
-    elif quantifier == "existential":
-        res = contains(operand, m.global_spec)
-        pairs, depth = res.pairs_explored, res.bfs_depth
-        holds = not res.holds
-        verdict = Verdict(holds, res.witness if holds else None,
+        verdict = Verdict(res.holds == (mode == "mitigation"), res.witness,
                           not realizable, stats)
     else:
         if not realizable:

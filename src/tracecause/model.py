@@ -28,8 +28,8 @@ from .automata import (Diagnostic, RunResult, SafetyAutomaton, Trace,
 from .errors import (BudgetExceeded, DomainMismatch, DuplicateAssignment,
                      MissingVariable, ParseError, SchemaError,
                      UnknownVariable, ValidationError)
-from .guards import (TRUE, disj, guard_mask, guard_text, guard_vars,
-                     is_variable_name, negate, parse_guard)
+from .guards import (TRUE, canonicalize, disj, guard_mask, guard_text,
+                     guard_vars, is_variable_name, negate, parse_guard)
 from .guards import satisfiable  # noqa: F401  (rebound by bench/tracing.py)
 
 
@@ -356,7 +356,8 @@ def automaton_to_dict(aut: SafetyAutomaton) -> dict:
         "initial": names[aut.initial],
         "bad": [names[s] for s in aut.states if s in aut.bad],
         "edges": [
-            {"from": names[s], "guard": guard_text(g), "to": names[t]}
+            {"from": names[s], "guard": guard_text(canonicalize(g)),
+             "to": names[t]}
             for s in aut.states for g, t in aut.edges[s]
         ],
     }

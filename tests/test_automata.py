@@ -16,11 +16,11 @@ from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
 from tracecause.counterfactual import FaultModelKind, build_fault_model
 from tracecause.engine import manifestation_operand
 from tracecause.errors import DomainMismatch
-from tracecause.guards import TRUE, And, Not, Or, Var, guard_eval
+from tracecause.guards import TRUE, And, Not, Or, Var, guard_eval, guard_mask
 from tracecause.model import project_trace
 
 from conftest import always_zero
-from oracle import all_traces, oracle_accepts
+from oracle import all_traces, all_valuations, oracle_accepts, oracle_step
 from randsys import (random_assignment, random_automaton, random_error_trace,
                      random_system, random_trace)
 
@@ -105,6 +105,15 @@ def test_run_ignores_extra_variables_but_needs_its_own():
     assert run(mon, T({"x": 0, "y": 1})).accepted
     with pytest.raises(DomainMismatch):
         run(mon, T({"y": 1}))
+
+
+def test_step_needs_every_variable_of_the_automaton():
+    # The first needs no guard that mentions the missing variable.
+    for a, q in ((universal_automaton(["x", "y"]), "ok"),
+                 (always_zero("x", ["x", "y"]), "g"),
+                 (always_zero("x"), "g")):
+        with pytest.raises(DomainMismatch):
+            a.step(q, {"y": 0})
 
 
 # ---------------------------------------------------------------------------
@@ -529,3 +538,65 @@ def test_edge_rows_match_per_letter_reference():
         for scope in (a.vars, tuple(names)):
             assert a._edge_rows(scope) == reference_edge_rows(a, scope)
     assert overlapping and incomplete
+
+
+def test_wider_scopes_evaluate_no_guard(monkeypatch):
+    calls = []
+
+    def counting(g, names):
+        calls.append(g)
+        return guard_mask(g, names)
+
+    a = always_zero("x")
+    p = product([a, always_zero("y")])
+    a.transition_table(a.vars)
+    monkeypatch.setattr(tracecause.automata, "guard_mask", counting)
+    for b in (a, p):
+        b.transition_table(["w", "x", "y", "z"])
+    assert calls == []
+
+
+def oracle_run(a, letters):
+    """(accepted, first violation index) from `oracle_accepts` on each
+    nonempty prefix."""
+    for i in range(len(letters)):
+        if not oracle_accepts(a, letters[:i + 1]):
+            return False, i
+    return True, None
+
+
+def test_step_and_run_match_the_oracle():
+    rng = random.Random(29)
+    overlapping = incomplete = steps = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        names = [f"v{i}" for i in range(n)]
+        g = random_guarded_automaton(rng, rng.sample(names, rng.randint(1, n)))
+        kinds = {d.kind for d in check_wellformed(g)}
+        overlapping += "nondeterministic-state" in kinds
+        incomplete += "incomplete-state" in kinds
+        bad = rng.sample(g.states[1:], rng.randint(0, len(g.states) - 1))
+        a = SafetyAutomaton(g.vars, g.states, g.initial, bad, g.edges)
+        for scope in (a.vars, tuple(names)):
+            letters = all_valuations(scope)
+            for q in a.states:
+                for v in letters:
+                    try:
+                        want = oracle_step(a, q, v)
+                    except AssertionError:
+                        with pytest.raises(RuntimeError):
+                            a.step(q, v)
+                    else:
+                        assert a.step(q, v) == want
+                        steps += 1
+            for _ in range(10):
+                trace = rng.choices(letters, k=rng.randint(0, 4))
+                try:
+                    want = oracle_run(a, trace)
+                except AssertionError:
+                    with pytest.raises(RuntimeError):
+                        run(a, T(*trace))
+                else:
+                    r = run(a, T(*trace))
+                    assert (r.accepted, r.first_violation_index) == want
+    assert overlapping and incomplete and steps

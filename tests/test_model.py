@@ -9,14 +9,15 @@ import pytest
 
 import tracecause.automata
 import tracecause.model
-from tracecause.automata import Trace, Valuation, run
+from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
+                                 check_wellformed, run)
 from tracecause.errors import (DomainMismatch, DuplicateAssignment,
                                MissingVariable, ParseError, SchemaError,
                                UnknownVariable, ValidationError)
-from tracecause.guards import (canonicalize, disj, guard_mask, negate,
-                               parse_guard)
-from tracecause.model import (Component, SystemModel, faulty_components,
-                              parse_system, parse_trace, project_trace,
+from tracecause.guards import (FALSE, TRUE, And, Not, Or, Var, canonicalize,
+                               disj, guard_mask, negate, parse_guard)
+from tracecause.model import (Component, SystemModel, automaton_to_dict,
+                              faulty_components, parse_system, parse_trace, project_trace,
                               serialize_system, system_from_dict,
                               validate_system, violates_global)
 
@@ -130,6 +131,33 @@ def test_parse_computes_each_edge_mask_once(monkeypatch):
         assert a._masks == {q: tuple(guard_mask(g, a.vars)
                                      for g, _ in a.edges[q])
                             for q in a.states}
+
+
+def test_parse_canonicalizes_each_guard_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonicalize(g)
+
+    monkeypatch.setattr(tracecause.automata, "canonicalize", counting)
+    parse_system(json.dumps(ab_doc()))
+    assert calls == []
+
+
+def test_guards_are_kept_as_given_and_printed_canonical():
+    x = Var("x")
+    given = And((TRUE, Not(Not(x))))
+    a = SafetyAutomaton(["x"], ["g", "b"], "g", ["b"], {
+        "g": [(Not(Or((x, FALSE))), "g"), (given, "b")],
+        "b": [(Or((x, Not(x))), "g")]})
+    assert a.edges["g"][1] == (given, "b")
+    texts = [e["guard"] for e in automaton_to_dict(a)["edges"]]
+    assert texts == ["!x", "x", "x | !x"]
+    assert [parse_guard(t) for t in texts] == [
+        canonicalize(g) for q in a.states for g, _ in a.edges[q]]
+    [diag] = [d for d in check_wellformed(a) if d.kind == "non-absorbing-bad"]
+    assert diag.message.endswith("(guard x | !x)")
 
 
 def test_complete_with_good_makes_unspecified_inputs_legal():
