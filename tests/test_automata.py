@@ -108,7 +108,7 @@ def test_run_ignores_extra_variables_but_needs_its_own():
 
 
 def test_step_needs_every_variable_of_the_automaton():
-    # The first needs no guard that mentions the missing variable.
+    # The universal automaton's one guard, true, mentions no variable.
     for a, q in ((universal_automaton(["x", "y"]), "ok"),
                  (always_zero("x", ["x", "y"]), "g"),
                  (always_zero("x"), "g")):
@@ -571,12 +571,12 @@ def test_step_and_run_match_the_oracle():
     for _ in range(60):
         n = rng.randint(1, 5)
         names = [f"v{i}" for i in range(n)]
-        g = random_guarded_automaton(rng, rng.sample(names, rng.randint(1, n)))
-        kinds = {d.kind for d in check_wellformed(g)}
+        r = random_guarded_automaton(rng, rng.sample(names, rng.randint(1, n)))
+        kinds = {d.kind for d in check_wellformed(r)}
         overlapping += "nondeterministic-state" in kinds
         incomplete += "incomplete-state" in kinds
-        bad = rng.sample(g.states[1:], rng.randint(0, len(g.states) - 1))
-        a = SafetyAutomaton(g.vars, g.states, g.initial, bad, g.edges)
+        bad = rng.sample(r.states[1:], rng.randint(0, len(r.states) - 1))
+        a = SafetyAutomaton(r.vars, r.states, r.initial, bad, r.edges)
         for scope in (a.vars, tuple(names)):
             letters = all_valuations(scope)
             for q in a.states:

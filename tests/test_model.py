@@ -17,8 +17,8 @@ from tracecause.errors import (DomainMismatch, DuplicateAssignment,
 from tracecause.guards import (FALSE, TRUE, And, Not, Or, Var, canonicalize,
                                disj, guard_mask, negate, parse_guard)
 from tracecause.model import (Component, SystemModel, automaton_to_dict,
-                              faulty_components, parse_system, parse_trace, project_trace,
-                              serialize_system, system_from_dict,
+                              faulty_components, parse_system, parse_trace,
+                              project_trace, serialize_system, system_from_dict,
                               validate_system, violates_global)
 
 from conftest import ab_doc, always_zero
