@@ -222,10 +222,12 @@ class SafetyAutomaton:
     that counterexamples can name the offending state and rule.
 
     The edge masks over the automaton's own variables are computed once
-    (or handed over by the parser, which needs them for completion) and
-    cached; so are, per scope, the edge taken on each letter and the
-    transition table.  `product` fills its result's table while
-    exploring.
+    and cached; so are, per scope, the edge taken on each letter and the
+    transition table.  A caller that already has the masks (the parser,
+    which scans each guard over its owner's variables) hands them over
+    as ``masks``, one per edge in edge order; a guard that has a mask over
+    ``vars`` mentions no other variable, so its scope is not walked again.
+    `product` fills its result's table while exploring.
     """
 
     __slots__ = ("vars", "states", "initial", "bad", "edges", "_masks",
@@ -233,7 +235,8 @@ class SafetyAutomaton:
 
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
-                 edges: Mapping[State, Iterable[tuple[Guard, State]]]):
+                 edges: Mapping[State, Iterable[tuple[Guard, State]]],
+                 masks: Optional[Mapping[State, Sequence[int]]] = None):
         var_tuple = tuple(sorted(set(vars)))
         for name in var_tuple:
             if not is_variable_name(name):
@@ -256,6 +259,8 @@ class SafetyAutomaton:
             for g, t in normalized[q]:
                 if t not in state_set:
                     raise ValueError(f"edge from {q!r} targets unknown state {t!r}")
+                if masks is not None:
+                    continue
                 extra = guard_vars(g) - scope
                 if extra:
                     raise ValueError(
@@ -269,7 +274,9 @@ class SafetyAutomaton:
         self.initial = initial
         self.bad = bad_set
         self.edges = normalized
-        self._masks: Optional[dict[State, tuple[int, ...]]] = None
+        self._masks: Optional[dict[State, tuple[int, ...]]] = (
+            None if masks is None
+            else {q: tuple(masks[q]) for q in state_tuple})
         self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
 

@@ -2,8 +2,10 @@
 work statistics.
 
 Exit codes: 0 success (for analyze: at least one causal set found),
-1 validation failure, 2 parse/schema/usage error, 3 no causal set,
-4 the trace does not violate the global spec.  Reports go to stdout,
+1 validation failure, 2 parse/schema/usage error or a refused budget
+(`errors.BudgetExceeded`: too many variables, or too many candidate sets
+for the exhaustive search), 3 no causal set, 4 the trace does not violate
+the global spec.  Reports go to stdout,
 diagnostics to stderr; all output is byte-deterministic for identical
 inputs.
 """
@@ -115,7 +117,7 @@ def _diag_jsonable(d) -> dict:
 def cmd_validate(args) -> int:
     try:
         m = _load_system(args)
-    except (ParseError, SchemaError, BudgetExceeded) as e:
+    except (ParseError, SchemaError) as e:
         _err(f"error: {e}")
         return 2
     except ValidationError as e:
@@ -147,7 +149,7 @@ def _prepare_analysis(args):
     """Common analyze/stats pipeline; returns (exit_code, payload)."""
     try:
         m = _load_system(args)
-    except (ParseError, SchemaError, BudgetExceeded) as e:
+    except (ParseError, SchemaError) as e:
         _err(f"error: {e}")
         return 2, None
     except ValidationError as e:
@@ -357,7 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotAnErrorTrace as e:
         _err(f"not an error trace: {e}")
         return 4
-    except OSError as e:
+    except (BudgetExceeded, OSError) as e:
         _err(f"error: {e}")
         return 2
 

@@ -37,12 +37,19 @@ from .automata import (SafetyAutomaton, Trace, contains,
                        find_trace_of_length, has_joint_trace_of_length,
                        has_trace_of_length, product)
 from .counterfactual import FaultModelKind, ModelAssignment, build_fault_model
-from .errors import NotAnErrorTrace, UnknownComponent
+from .errors import BudgetExceeded, NotAnErrorTrace, UnknownComponent
 from .model import (SystemModel, faulty_components, project_trace,
                     violates_global)
 
 MODES = ("mitigation", "manifestation")
 QUANTIFIERS = ("existential", "universal")
+
+MAX_EVALUATIONS = 4096
+"""Most candidate sets the exhaustive subset loop may evaluate.  Each
+evaluation builds a product of every component's fault model, so a
+larger universe (2^k > 4096, that is k > 12 candidates) is refused
+(`BudgetExceeded`) before the first one; the both-ends search of
+``minimal_only`` under a monotone assignment is not bounded by it."""
 
 
 @dataclass(frozen=True)
@@ -348,7 +355,9 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
     contain (so that pruned and unpruned runs report identically): sets
     evaluated, sets decided without evaluation (``pruned``; the two add
     up to 2^k) and one `SetMetrics` row per evaluated set, in
-    size-then-lexicographic order."""
+    size-then-lexicographic order.  The exhaustive loop (every run but
+    the both-ends search) raises `BudgetExceeded` before it starts when
+    2^k passes `MAX_EVALUATIONS`."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if quantifier not in QUANTIFIERS:
@@ -373,6 +382,9 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
     # Only minimal sets of an upward-closed predicate are wanted: skip
     # every set an earlier verdict decides (see `enumerate_causal_sets`).
     search = minimal_only and monotone
+    if not search and 2 ** k > MAX_EVALUATIONS:
+        raise BudgetExceeded("candidate sets to evaluate", 2 ** k,
+                             MAX_EVALUATIONS)
     evaluated = 0
     pruned = 0
     satisfying: list[frozenset[str]] = []

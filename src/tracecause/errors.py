@@ -60,11 +60,11 @@ class ValidationError(TraceCauseError):
 
 class BudgetExceeded(TraceCauseError):
     """An input is larger than a documented budget allows; it is refused
-    before any work that grows with it."""
+    before any work that grows with it.  The message gives both numbers:
+    ``{count} {what}, more than the limit of {limit}``."""
 
     def __init__(self, what: str, count: int, limit: int):
-        super().__init__(f"{count} {what} declared, more than the limit "
-                         f"of {limit}")
+        super().__init__(f"{count} {what}, more than the limit of {limit}")
 
 
 class DomainMismatch(TraceCauseError):

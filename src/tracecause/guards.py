@@ -2,14 +2,19 @@
 
 Guards label safety-automaton edges; a guard denotes the set of valuations
 it is true on, and automaton determinism/completeness are phrased in terms
-of that denotation.  Guards are normalized to a canonical negation normal
-form (negations pushed to variables, n-ary conjunctions/disjunctions
-flattened, operands deduplicated and sorted by variable name) so that
-printing is byte-reproducible and structural equality is meaningful.
+of that denotation.  `canonicalize` normalizes a guard to a canonical
+negation normal form (negations pushed to variables, n-ary
+conjunctions/disjunctions flattened, operands deduplicated and sorted by
+variable name) so that printing is byte-reproducible and structural
+equality is meaningful.
 
 `guard_mask` evaluates a guard on all 2^n valuations of n variables at
-once, one bit per valuation, so no solver is involved.  The parser caps
-nesting at `MAX_GUARD_DEPTH`, which bounds every recursion here.
+once, one bit per valuation, so no solver is involved.  A system file's
+guards are read by `scan_guard`: one pass over the text gives the guard
+as written together with its mask over the owner's variables and the
+check that it mentions no other variable; `parse_guard` is the same scan
+followed by `canonicalize`.  The scan caps nesting at `MAX_GUARD_DEPTH`,
+which bounds every recursion here.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ VAR_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset({"true", "false"})
 
 MAX_GUARD_DEPTH = 100
-"""Deepest nesting of ``!`` and parentheses `parse_guard` accepts."""
+"""Deepest nesting of ``!`` and parentheses a guard may have."""
 
 
 def is_variable_name(name: str) -> bool:
@@ -239,97 +244,128 @@ def guard_text(g: Guard) -> str:
     raise TypeError(f"not a guard: {g!r}")
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[!&|()]")
+# One match per token: an identifier or operator in group 1, or else the
+# first character that starts no token in group 2; whitespace matches
+# nothing, so `finditer` skips it.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[!&|()])|(\S)")
 
 
-def _tokenize(text: str, context: str | None):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
+def scope_atoms(names: Iterable[str]) -> dict[str, tuple[Guard, int]]:
+    """The atoms of a guard over ``names`` (each name, ``true`` and
+    ``false``), each with its `guard_mask` over them, for `scan_guard`."""
+    names = sorted(names)
+    atoms = {n: (Var(n), m) for n, m in zip(names, _var_masks(len(names)))}
+    atoms["true"] = (TRUE, (1 << (1 << len(names))) - 1)
+    atoms["false"] = (FALSE, 0)
+    return atoms
+
+
+def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],
+          context: str | None) -> tuple[Guard, int, list[str]]:
+    # Recursive descent over the tokens of one `finditer` pass, building
+    # the AST as written and its mask over the scope of ``atoms`` together.
+    # An identifier outside the scope gets mask 0 and is returned.
+    matches = list(_TOKEN_RE.finditer(text))
+    tokens: list = [m[1] for m in matches]
+    if None in tokens:
+        m = matches[tokens.index(None)]
+        raise ParseError(f"unexpected character {m[2]!r} in guard",
+                         line=1, column=m.start() + 1, context=context)
+    tokens.append(None)
+    full = atoms["true"][1]
+    undeclared: list[str] = []
+    pos = depth = 0
+
+    def fail(message: str):
+        column = (matches[pos].start() + 1 if pos < len(matches)
+                  else len(text) + 1)
+        raise ParseError(message, line=1, column=column, context=context)
+
+    def disjunction() -> tuple[Guard, int]:
+        nonlocal pos
+        g, m = conjunction()
+        if tokens[pos] != "|":
+            return g, m
+        parts = [g]
+        while tokens[pos] == "|":
             pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} in guard",
-                             line=1, column=pos + 1, context=context)
-        tokens.append((m.group(0), pos + 1))
-        pos = m.end()
-    return tokens
+            g, gm = conjunction()
+            parts.append(g)
+            m |= gm
+        return Or(tuple(parts)), m
 
+    def conjunction() -> tuple[Guard, int]:
+        nonlocal pos
+        g, m = atom()
+        if tokens[pos] != "&":
+            return g, m
+        parts = [g]
+        while tokens[pos] == "&":
+            pos += 1
+            g, gm = atom()
+            parts.append(g)
+            m &= gm
+        return And(tuple(parts)), m
 
-class _GuardParser:
-    def __init__(self, tokens, length: int, context: str | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-        self.context = context
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        column = (self.tokens[self.pos][1] if self.pos < len(self.tokens)
-                  else self.length + 1)
-        raise ParseError(message, line=1, column=column, context=self.context)
-
-    def parse_or(self) -> Guard:
-        parts = [self.parse_and()]
-        while self.peek() == "|":
-            self.take()
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and(self) -> Guard:
-        parts = [self.parse_atom()]
-        while self.peek() == "&":
-            self.take()
-            parts.append(self.parse_atom())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def parse_atom(self) -> Guard:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of guard")
-        if tok in ("!", "("):
-            if self.depth == MAX_GUARD_DEPTH:
-                self.fail(f"guard nested deeper than {MAX_GUARD_DEPTH} levels")
-            self.depth += 1
-            self.take()
+    def atom() -> tuple[Guard, int]:
+        nonlocal pos, depth
+        tok = tokens[pos]
+        hit = atoms.get(tok)
+        if hit is not None:
+            pos += 1
+            return hit
+        if tok == "!" or tok == "(":
+            if depth == MAX_GUARD_DEPTH:
+                fail(f"guard nested deeper than {MAX_GUARD_DEPTH} levels")
+            depth += 1
+            pos += 1
             if tok == "!":
-                inner = Not(self.parse_atom())
+                g, m = atom()
+                g, m = Not(g), full ^ m
             else:
-                inner = self.parse_or()
-                if self.peek() != ")":
-                    self.fail("expected ')'")
-                self.take()
-            self.depth -= 1
-            return inner
-        if tok == "true":
-            self.take()
-            return TRUE
-        if tok == "false":
-            self.take()
-            return FALSE
-        if VAR_NAME_RE.match(tok):
-            self.take()
-            return Var(tok)
-        self.fail(f"expected a guard atom, found {tok!r}")
-        raise AssertionError  # fail() always raises
+                g, m = disjunction()
+                if tokens[pos] != ")":
+                    fail("expected ')'")
+                pos += 1
+            depth -= 1
+            return g, m
+        if tok is None:
+            fail("unexpected end of guard")
+        if tok in ("&", "|", ")"):
+            fail(f"expected a guard atom, found {tok!r}")
+        undeclared.append(tok)
+        pos += 1
+        return Var(tok), 0
+
+    g, m = disjunction()
+    if tokens[pos] is not None:
+        fail(f"trailing input after guard: {tokens[pos]!r}")
+    return g, m, undeclared
+
+
+def scan_guard(text: str, atoms: Mapping[str, tuple[Guard, int]],
+               context: str | None = None) -> tuple[Guard, int]:
+    """Parse ``text`` (grammar of `parse_guard`) in one pass over the scope
+    of ``atoms`` (`scope_atoms`): the guard as written, not
+    canonicalized, and its `guard_mask` over that scope.  Malformed text
+    raises the `ParseError` `parse_guard` raises; then a variable outside
+    the scope raises `UndeclaredVariable`, naming the sorted-first such
+    variable of the canonical guard (constant folding drops the others,
+    as in ``x | true``, and does not change the mask)."""
+    g, m, undeclared = _scan(text, atoms, context)
+    if undeclared:
+        extra = [v for v in guard_vars(canonicalize(g)) if v not in atoms]
+        if extra:
+            raise UndeclaredVariable(min(extra))
+    return g, m
+
+
+_NO_VARIABLES = scope_atoms(())
 
 
 def parse_guard(text: str, context: str | None = None) -> Guard:
     """Parse ``true | false | ident | !g | g & g | g '|' g`` with ``&``
     binding tighter than ``|`` and at most `MAX_GUARD_DEPTH` levels of
-    ``!`` and parentheses; returns the canonicalized AST."""
-    parser = _GuardParser(_tokenize(text, context), len(text), context)
-    g = parser.parse_or()
-    if parser.peek() is not None:
-        parser.fail(f"trailing input after guard: {parser.peek()!r}")
-    return canonicalize(g)
+    ``!`` and parentheses; returns the canonicalized AST.  The scan of
+    `scan_guard` over no variables, then `canonicalize`."""
+    return canonicalize(_scan(text, _NO_VARIABLES, context)[0])

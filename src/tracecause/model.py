@@ -7,11 +7,13 @@ component variables.  Composition is synchronous: one global step assigns
 every variable simultaneously, so projecting a global trace onto a
 component preserves its length.
 
-The system file is JSON (schema documented in the README); automaton
-declarations may be left incomplete and are completed into a designated
-sink state at parse time (`complete_with`: "bad" by default, so an
-unspecified input counts as a violation).  A system may declare at most
-`MAX_VARIABLES` variables.  Serialization is byte-deterministic:
+The system file is JSON (schema documented in the README).  Each guard
+is scanned once over its owner's variables (`guards.scan_guard`) and kept
+as written, with its edge mask; automaton declarations may be left
+incomplete and are completed into a designated sink state at parse time
+(`complete_with`: "bad" by default, so an unspecified input counts as a
+violation), deciding coverage on those masks.  A system may declare at
+most `MAX_VARIABLES` variables.  Serialization is byte-deterministic:
 components, states and edges keep their declared order, guards print in
 canonical form, variables sort by name.
 """
@@ -27,10 +29,11 @@ from .automata import (Diagnostic, RunResult, SafetyAutomaton, Trace,
                        Valuation, check_wellformed, contains, product, run)
 from .errors import (BudgetExceeded, DomainMismatch, DuplicateAssignment,
                      MissingVariable, ParseError, SchemaError,
-                     UnknownVariable, ValidationError)
-from .guards import (TRUE, canonicalize, disj, guard_mask, guard_text,
-                     guard_vars, is_variable_name, negate, parse_guard)
-from .guards import satisfiable  # noqa: F401  (rebound by bench/tracing.py)
+                     UndeclaredVariable, UnknownVariable, ValidationError)
+from .guards import (TRUE, Or, canonicalize, guard_text, is_variable_name,
+                     negate, scan_guard, scope_atoms)
+from .guards import (  # noqa: F401  (rebound by bench/tracing.py)
+    disj, guard_vars, parse_guard, satisfiable)
 
 
 MAX_VARIABLES = 16
@@ -165,7 +168,16 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
     if polarity not in ("bad", "good"):
         raise SchemaError(f"{where}: complete_with must be 'bad' or 'good'")
 
+    # Each guard is scanned once over the scope: its AST as written and
+    # its edge mask.  Completion decides coverage on the masks; only a
+    # state that leaves some letter uncovered gets a symbolic residual
+    # guard.  The masks, the residual's and the sink's included, go to
+    # the automaton, so the wellformedness check and its transition
+    # tables reuse them.
+    atoms = scope_atoms(scope)
+    full = atoms["true"][1]
     edges: dict[str, list] = {s: [] for s in states}
+    masks: dict[str, list[int]] = {s: [] for s in states}
     raw_edges = _expect(obj, "edges", list, where)
     for i, e in enumerate(raw_edges):
         ewhere = f"{where}.edges[{i}]"
@@ -178,29 +190,24 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
             raise SchemaError(f"{ewhere}: unknown source state {src!r}")
         if dst not in states:
             raise SchemaError(f"{ewhere}: unknown target state {dst!r}")
-        g = parse_guard(text, context=ewhere)
-        extra = guard_vars(g) - scope
-        if extra:
+        try:
+            g, mask = scan_guard(text, atoms, context=ewhere)
+        except UndeclaredVariable as e:
             raise ValidationError(
                 f"{ewhere}: guard mentions undeclared variable "
-                f"{sorted(extra)[0]!r}")
+                f"{e.args[0]!r}") from None
         edges[src].append((g, dst))
+        masks[src].append(mask)
 
     # Complete missing transitions into a sink of the declared polarity.
-    # Coverage is decided on the edge masks; only a state that leaves some
-    # letter uncovered gets a symbolic residual guard.  The masks, the
-    # residual's and the sink's included, go to the automaton, so the
-    # wellformedness check and its transition tables reuse them.
-    names = sorted(scope)
-    full = (1 << (1 << len(names))) - 1
-    masks = {s: [guard_mask(g, names) for g, _ in edges[s]] for s in states}
     uncovered: dict[str, object] = {}
     for s in states:
         covered = 0
         for m in masks[s]:
             covered |= m
         if covered != full:
-            uncovered[s] = negate(disj(g for g, _ in edges[s]))
+            # The guards are as written; negate canonicalizes them all.
+            uncovered[s] = negate(Or(tuple(g for g, _ in edges[s])))
             masks[s].append(full & ~covered)
     bad_set = set(bad)
     if uncovered:
@@ -215,8 +222,7 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
         for s, residual in uncovered.items():
             edges[s].append((residual, sink))
 
-    aut = SafetyAutomaton(scope, states, initial, bad_set, edges)
-    aut._masks = {s: tuple(ms) for s, ms in masks.items()}
+    aut = SafetyAutomaton(scope, states, initial, bad_set, edges, masks=masks)
     diags = check_wellformed(aut)
     if diags:
         raise ValidationError(
@@ -241,7 +247,8 @@ def system_from_dict(obj: dict) -> SystemModel:
             raise ValidationError(f"{where}: variable {name!r} declared twice")
         declared[name] = owner
     if len(declared) > MAX_VARIABLES:
-        raise BudgetExceeded("variables", len(declared), MAX_VARIABLES)
+        raise BudgetExceeded("variables declared", len(declared),
+                             MAX_VARIABLES)
 
     components = []
     for i, c in enumerate(_expect(obj, "components", list, "system")):

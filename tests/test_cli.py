@@ -12,6 +12,7 @@ import pytest
 
 import tracecause
 from tracecause.cli import main
+from tracecause.engine import MAX_EVALUATIONS
 from tracecause.guards import MAX_GUARD_DEPTH
 from tracecause.model import MAX_VARIABLES
 
@@ -160,6 +161,37 @@ def test_variable_limit_itself_validates(capsys, tmp_path):
     assert code == 0
     assert f"{MAX_VARIABLES} variable(s), refinement holds" in out
     assert err == ""
+
+
+def one_variable_doc(k: int) -> dict:
+    """``k`` components that read the environment variable ``e`` and, like
+    the global spec, promise it stays 0: the trace ``e=1`` makes all of
+    them faulty, so there are 2^k candidate sets."""
+    spec = {"states": ["g"], "initial": "g",
+            "edges": [{"from": "g", "guard": "!e", "to": "g"}]}
+    return {"variables": [{"name": "e", "owner": "env"}],
+            "components": [{"name": f"C{i:02d}", "inputs": ["e"],
+                            "outputs": [], "spec": spec} for i in range(k)],
+            "global_spec": spec}
+
+
+@pytest.mark.parametrize("command", ["analyze", "stats"])
+def test_too_many_candidate_sets_exits_2(capsys, tmp_path, command):
+    k = 13
+    system = write_doc(tmp_path, one_variable_doc(k))
+    trace = tmp_path / "tr.txt"
+    trace.write_text("e=1\n")
+    proc = run_cli_process(command, system, str(trace), memory_cap=1 << 31)
+    assert proc.returncode == 2
+    assert (f"{2 ** k} candidate sets to evaluate, more than the limit of "
+            f"{MAX_EVALUATIONS}") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    # The both-ends search of --minimal-only (the default assignment is
+    # monotone here) is not bounded by the exhaustive loop's budget.
+    code, _, err = run_cli(capsys, command, system, str(trace),
+                           "--minimal-only")
+    assert code == 0 and err == ""
 
 
 def test_validate_bad_json_exits_2(capsys, tmp_path):

@@ -1,10 +1,11 @@
 """Arbitrary system and trace files only ever give a documented exit code.
 
-Hypothesis feeds `validate` and `analyze` (in-process, through
+Hypothesis feeds `validate`, `analyze` and `stats` (in-process, through
 `tracecause.cli.main`) system documents shaped like the schema, with at
 most four variables and random guard text, plus raw garbage; traces are
-drawn the same way.  Any exception escaping `main`, or an exit code
-outside 0-4, fails the test.
+drawn the same way.  The candidate-set budget is sometimes lowered so
+that small systems reach its refusal too.  Any exception escaping
+`main`, or an exit code outside 0-4, fails the test.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tracecause.engine
 from tracecause.cli import main
 
 VARS = ["a", "b", "c", "d"]
@@ -121,22 +124,32 @@ flags = st.lists(st.one_of(
         lambda t: f"{t[0]}={t[1]}={t[2]}")), max_size=3)
 
 
-def exit_code(argv) -> int:
+def run(argv) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as e:  # argparse usage errors
-            return e.code
+            code = e.code
+    return code, err.getvalue()
 
 
 @settings(max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=cases(), extra=flags)
-def test_cli_exit_codes_on_arbitrary_input(tmp_path_factory, case, extra):
+@given(case=cases(), extra=flags,
+       budget=st.sampled_from([None, 1, 2, 4]))
+def test_cli_exit_codes_on_arbitrary_input(tmp_path_factory, case, extra,
+                                           budget):
     d = tmp_path_factory.mktemp("fuzz")
     (d / "sys.json").write_text(case[0])
     (d / "tr.txt").write_text(case[1])
     sys_path, tr_path = str(d / "sys.json"), str(d / "tr.txt")
-    assert exit_code(["validate", sys_path]) in EXIT_CODES
-    assert exit_code(["analyze", sys_path, tr_path, *extra]) in EXIT_CODES
+    assert run(["validate", sys_path])[0] in EXIT_CODES
+    limit = budget or tracecause.engine.MAX_EVALUATIONS
+    with mock.patch.object(tracecause.engine, "MAX_EVALUATIONS", limit):
+        for command in ("analyze", "stats"):
+            code, err = run([command, sys_path, tr_path, *extra])
+            assert code in EXIT_CODES
+            if f"more than the limit of {limit}" in err:
+                assert code == 2

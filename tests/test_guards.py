@@ -10,7 +10,8 @@ from tracecause.errors import ParseError, UndeclaredVariable
 from tracecause.guards import (FALSE, MAX_GUARD_DEPTH, TRUE, And, Not, Or,
                                Var, canonicalize, cube, disj, guard_eval,
                                guard_mask, guard_text, guard_vars, negate,
-                               parse_guard, satisfiable)
+                               parse_guard, satisfiable, scan_guard,
+                               scope_atoms)
 
 from oracle import all_valuations, oracle_eval
 
@@ -159,3 +160,59 @@ def test_disj_of_cubes_covers_exactly():
     g = disj(cube(v, ["p", "q"]) for v in chosen)
     for v in vals:
         assert guard_eval(g, v) == (v in chosen)
+
+
+# Guard text over a pool of names some scopes lack, with stray characters
+# (a Unicode space among them), deep nesting around the limit and, now
+# and then, arbitrary text.
+_POOL = ["a", "b", "c", "x1", "_z"]
+_TOKENS = _POOL + ["true", "false", "!", "&", "|", "(", ")", " ", "\t",
+                   "\u00a0", "$", "1", "a1"]
+
+
+def _guard_texts():
+    atoms = st.sampled_from(_POOL + ["true", "false"])
+    formulas = st.recursive(atoms, lambda sub: st.one_of(
+        sub.map("!{}".format),
+        st.tuples(sub, st.sampled_from([" & ", " | ", "&", "|"]), sub).map(
+            lambda t: "(" + "".join(t) + ")"),
+        st.tuples(sub, st.sampled_from([" & ", " | "]), sub).map("".join)),
+        max_leaves=8)
+    depth = st.integers(MAX_GUARD_DEPTH - 6, MAX_GUARD_DEPTH + 1)
+    nested = st.one_of(
+        st.tuples(depth, formulas).map(lambda t: "!" * t[0] + t[1]),
+        st.tuples(depth, formulas).map(
+            lambda t: "(" * t[0] + t[1] + ")" * t[0]))
+    return st.one_of(formulas, formulas, nested,
+                     st.lists(st.sampled_from(_TOKENS), max_size=12).map(
+                         "".join),
+                     st.text(max_size=12))
+
+
+def _reference(text, scope):
+    """What the parse-then-evaluate path gives: the parse error, the
+    sorted-first undeclared variable of the canonical guard, or the mask."""
+    try:
+        g = parse_guard(text, context="edge")
+    except ParseError as e:
+        return "parse", e.message, e.column
+    extra = guard_vars(g) - set(scope)
+    if extra:
+        return "undeclared", min(extra)
+    return "mask", guard_mask(g, scope)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_guard_texts(), st.lists(st.sampled_from(_POOL), unique=True,
+                                max_size=5))
+def test_scan_agrees_with_parse_then_mask(text, scope):
+    try:
+        g, mask = scan_guard(text, scope_atoms(scope), context="edge")
+    except ParseError as e:
+        got = "parse", e.message, e.column
+    except UndeclaredVariable as e:
+        got = "undeclared", e.args[0]
+    else:
+        got = "mask", mask
+        assert canonicalize(g) == parse_guard(text)
+    assert got == _reference(text, scope)

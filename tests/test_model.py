@@ -8,6 +8,7 @@ import random
 import pytest
 
 import tracecause.automata
+import tracecause.guards
 import tracecause.model
 from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
                                  check_wellformed, run)
@@ -115,7 +116,7 @@ def test_parse_computes_each_edge_mask_once(monkeypatch):
         calls.append(g)
         return guard_mask(g, names)
 
-    monkeypatch.setattr(tracecause.model, "guard_mask", counting)
+    monkeypatch.setattr(tracecause.guards, "guard_mask", counting)
     monkeypatch.setattr(tracecause.automata, "guard_mask", counting)
     doc = ab_doc()  # every state incomplete: residuals and sinks too
     doc["global_spec"] = monitor("y")
@@ -123,8 +124,8 @@ def test_parse_computes_each_edge_mask_once(monkeypatch):
     auts = [c.spec for c in m.components] + [m.global_spec]
     for a in auts:
         a.transition_table(a.vars)
-    declared = sum(len(c["spec"]["edges"]) for c in doc["components"])
-    assert len(calls) == declared + len(doc["global_spec"]["edges"])
+    # The scan of each guard gives its mask; nothing evaluates it again.
+    assert calls == []
     # The masks handed over, the completion's included, are the masks.
     monkeypatch.undo()
     for a in auts:
@@ -136,11 +137,18 @@ def test_parse_computes_each_edge_mask_once(monkeypatch):
 def test_parse_canonicalizes_each_guard_once(monkeypatch):
     calls = []
 
-    def counting(g):
-        calls.append(g)
-        return canonicalize(g)
+    def counting(fn):
+        def wrapped(g):
+            calls.append(g)
+            return fn(g)
+        return wrapped
 
-    monkeypatch.setattr(tracecause.automata, "canonicalize", counting)
+    for module in (tracecause.guards, tracecause.automata):
+        for name in ("canonicalize", "guard_vars"):
+            monkeypatch.setattr(module, name,
+                                counting(getattr(module, name)))
+    # The guards are kept as written: none is canonicalized or walked for
+    # its scope (the residuals of incomplete states come from `negate`).
     parse_system(json.dumps(ab_doc()))
     assert calls == []
 
