@@ -231,7 +231,7 @@ class SafetyAutomaton:
     """
 
     __slots__ = ("vars", "states", "initial", "bad", "edges", "_masks",
-                 "_rows", "_tables")
+                 "_targets", "_rows", "_tables")
 
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
@@ -277,6 +277,7 @@ class SafetyAutomaton:
         self._masks: Optional[dict[State, tuple[int, ...]]] = (
             None if masks is None
             else {q: tuple(masks[q]) for q in state_tuple})
+        self._targets: Optional[dict[State, tuple[State, ...]]] = None
         self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
 
@@ -306,11 +307,15 @@ class SafetyAutomaton:
         if k is None:
             raise RuntimeError(
                 f"no enabled edge from state {q!r} (automaton incomplete)")
-        return self._targets(q)[k]
+        return self._edge_targets()[q][k]
 
-    def _targets(self, q: State) -> list[State]:
-        """Targets of the edges of ``q``, in edge order."""
-        return [t for _, t in self.edges[q]]
+    def _edge_targets(self) -> dict[State, tuple[State, ...]]:
+        """Per state, the targets of its edges in edge order, the row an
+        edge index of `_edge_rows` points into.  Cached."""
+        if self._targets is None:
+            self._targets = {q: tuple(t for _, t in es)
+                             for q, es in self.edges.items()}
+        return self._targets
 
     def _edge_rows(self, scope: tuple[str, ...]
                    ) -> dict[State, tuple[Optional[int], ...]]:
@@ -374,12 +379,13 @@ class SafetyAutomaton:
         tbl = self._tables.get(scope)
         if tbl is None:
             rows = self._edge_rows(scope)
+            targets = self._edge_targets()
             tbl = {}
             for q in self.states:
                 if None in rows[q]:
                     raise RuntimeError(f"no enabled edge from state {q!r} "
                                        "(automaton incomplete)")
-                tbl[q] = tuple(map(self._targets(q).__getitem__, rows[q]))
+                tbl[q] = tuple(map(targets[q].__getitem__, rows[q]))
             self._tables[scope] = tbl
         return tbl
 
@@ -492,8 +498,11 @@ class _Product(SafetyAutomaton):
     def edge_count(self) -> int:
         return sum(map(len, self._succ.values()))
 
-    def _targets(self, q: State) -> list[State]:
-        return list(self._succ[q].values())
+    def _edge_targets(self) -> dict[State, tuple[State, ...]]:
+        if self._targets is None:
+            self._targets = {s: tuple(succ.values())
+                             for s, succ in self._succ.items()}
+        return self._targets
 
     def _letter_rows(self) -> dict[State, tuple[Optional[int], ...]]:
         """Edge rows from the members' rows: the edge taken on a letter is
@@ -527,7 +536,7 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
         raise ValueError("product of zero automata is undefined")
     scope = tuple(sorted(set().union(*(a.var_set for a in automata))))
     member_rows = [a._edge_rows(scope) for a in automata]
-    member_targets = [{q: a._targets(q) for q in a.states} for a in automata]
+    member_targets = [a._edge_targets() for a in automata]
     partial = any(None in row for rows in member_rows for row in rows.values())
 
     init = tuple(a.initial for a in automata)
@@ -561,7 +570,7 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     p.bad = frozenset(s for s in succ_of
                       if any(map(frozenset.__contains__, bads, s)))
     p._members, p._succ, p._edges = tuple(automata), succ_of, None
-    p._masks, p._rows = None, {}
+    p._masks, p._targets, p._rows = None, None, {}
     # An incomplete product gets its table (which raises) the usual way.
     incomplete = partial and any(None in row for row in table.values())
     p._tables = {} if incomplete else {scope: table}

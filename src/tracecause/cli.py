@@ -8,19 +8,27 @@ for the exhaustive search), 3 no causal set, 4 the trace does not violate
 the global spec.  Reports go to stdout,
 diagnostics to stderr; all output is byte-deterministic for identical
 inputs.
+
+`main(argv)` may be called any number of times in one process: the
+argument parser is built on the first call and reused, and no call
+leaves state behind for the next.  Within one ``analyze`` or ``stats``
+call the requested modes share one engine context, so the error-trace
+check, the faulty components, the fault-model factors and the
+monotonicity verdict are each computed once (see `engine`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
 
 from .automata import Trace
 from .counterfactual import FaultModelKind, ModelAssignment
-from .engine import (CauseReport, EnumerationStats, _trace_to_jsonable,
-                     enumerate_with_stats)
+from .engine import (CauseReport, EnumerationStats, _Context,
+                     _trace_to_jsonable, enumerate_with_stats)
 from .errors import (BudgetExceeded, HorizonMismatch, NotAnErrorTrace,
                      ParseError, SchemaError, UnknownComponent,
                      ValidationError)
@@ -175,15 +183,17 @@ def _prepare_analysis(args):
     return 0, (m, tr, asg)
 
 
-def _run_analyses(args, m, tr, asg) -> list[tuple[CauseReport, EnumerationStats]]:
+def _run_analyses(args, m, tr, asg, vio=None
+                  ) -> list[tuple[CauseReport, EnumerationStats]]:
+    """Each requested mode, in one shared context (``vio`` is the
+    already computed `faulty_components`, if any)."""
     modes = ["mitigation", "manifestation"] if args.mode == "both" else [args.mode]
-    out = []
-    for mode in modes:
-        out.append(enumerate_with_stats(
-            m, tr, mode, asg, quantifier=args.quantifier,
-            minimal_only=args.minimal_only,
-            allow_nonfaulty=args.allow_nonfaulty))
-    return out
+    ctx = _Context(m, tr, asg, vio)
+    return [enumerate_with_stats(m, tr, mode, asg, quantifier=args.quantifier,
+                                 minimal_only=args.minimal_only,
+                                 allow_nonfaulty=args.allow_nonfaulty,
+                                 _context=ctx)
+            for mode in modes]
 
 
 def _report_lines(report: CauseReport) -> list[str]:
@@ -216,7 +226,7 @@ def cmd_analyze(args) -> int:
         return code
     m, tr, asg = payload
     vio = faulty_components(m, tr)
-    results = _run_analyses(args, m, tr, asg)
+    results = _run_analyses(args, m, tr, asg, vio)
     reports = [r for r, _ in results]
     if args.json:
         doc = {
@@ -352,8 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call of the process reuses, built on the
+    first call (not at import).  Parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NotAnErrorTrace as e:

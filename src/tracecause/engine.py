@@ -24,6 +24,12 @@ operand yields holds=False with vacuous=True rather than a vacuous truth.
 Everything here is a pure function of immutable inputs; candidate sets
 could be evaluated concurrently, but results are reduced in the fixed
 size-then-lexicographic order so reports are byte-reproducible.
+
+The modes of one analysis share one `_Context`: the error-trace check,
+the locally faulty components, one fault-model factor per (component,
+kind) with the edge rows and transition tables it caches, and the
+monotonicity verdict of the assignment are each computed once, however
+many modes run.  Each evaluation still builds its own operand product.
 """
 
 from __future__ import annotations
@@ -38,8 +44,8 @@ from .automata import (SafetyAutomaton, Trace, contains,
                        has_trace_of_length, product)
 from .counterfactual import FaultModelKind, ModelAssignment, build_fault_model
 from .errors import BudgetExceeded, NotAnErrorTrace, UnknownComponent
-from .model import (SystemModel, faulty_components, project_trace,
-                    violates_global)
+from .model import (SystemModel, ViolationReport, faulty_components,
+                    project_trace, violates_global)
 
 MODES = ("mitigation", "manifestation")
 QUANTIFIERS = ("existential", "universal")
@@ -202,33 +208,70 @@ def _normalize_members(m: SystemModel, d: Candidates) -> frozenset[str]:
     return members
 
 
-def _cached_factor(cache: dict, c, kind: FaultModelKind,
-                   tr: Trace) -> SafetyAutomaton:
-    key = (c.name, kind)
-    a = cache.get(key)
-    if a is None:
-        a = build_fault_model(kind, c, project_trace(tr, c), len(tr))
-        cache[key] = a
-    return a
+class _Context:
+    """What every mode of one analysis of ``tr`` shares, each part
+    computed at most once: the assignment (the defaults when none is
+    given), the locally faulty components, one fault-model factor per
+    (component, kind) and whether the assignment is monotone.  The
+    factors keep the edge rows and transition tables they cache; no
+    operand product is kept.  ``violation`` may be handed in by a caller
+    that has already computed it.  An analysis builds one only after
+    checking that ``tr`` is an error trace (`_check_error_trace`)."""
 
+    def __init__(self, m: SystemModel, tr: Trace,
+                 asg: Optional[ModelAssignment] = None,
+                 violation: Optional[ViolationReport] = None):
+        self.m, self.tr = m, tr
+        self.asg = asg or ModelAssignment.defaults(m)
+        self._factors: dict = {}
+        self._violation = violation
+        self._monotone: Optional[bool] = None
 
-def _factors(m: SystemModel, tr: Trace, members: frozenset[str],
-             asg: ModelAssignment, corrected_in_set: bool,
-             cache: dict) -> list[SafetyAutomaton]:
-    out = []
-    for c in m.components:
-        use_cf = (c.name in members) == corrected_in_set
-        kind = asg.cf_kind(c.name) if use_cf else asg.fault_kind(c.name)
-        out.append(_cached_factor(cache, c, kind, tr))
-    return out
+    @property
+    def violation(self) -> ViolationReport:
+        if self._violation is None:
+            self._violation = faulty_components(self.m, self.tr)
+        return self._violation
+
+    @property
+    def monotone(self) -> bool:
+        # When each component's counterfactual language is contained in
+        # its fault language, growing the candidate set can only shrink
+        # (mitigation) or grow (existential manifestation) the operand, so
+        # the predicate is upward-closed: a superset of a satisfying set
+        # satisfies it and a subset of a failing set fails it.
+        if self._monotone is None:
+            asg = self.asg
+            self._monotone = all(
+                contains(self.factor(c, asg.cf_kind(c.name)),
+                         self.factor(c, asg.fault_kind(c.name))).holds
+                for c in self.m.components)
+        return self._monotone
+
+    def factor(self, c, kind: FaultModelKind) -> SafetyAutomaton:
+        a = self._factors.get((c.name, kind))
+        if a is None:
+            a = self._factors[c.name, kind] = build_fault_model(
+                kind, c, project_trace(self.tr, c), len(self.tr))
+        return a
+
+    def factors(self, members: frozenset[str],
+                corrected_in_set: bool) -> list[SafetyAutomaton]:
+        """One factor per component: its counterfactual kind where its
+        membership in ``members`` equals ``corrected_in_set``, its fault
+        kind elsewhere."""
+        asg = self.asg
+        return [self.factor(c, asg.cf_kind(c.name)
+                            if (c.name in members) == corrected_in_set
+                            else asg.fault_kind(c.name))
+                for c in self.m.components]
 
 
 def _operand(m: SystemModel, tr: Trace, d: Candidates,
              asg: Optional[ModelAssignment],
              corrected_in_set: bool) -> SafetyAutomaton:
-    asg = asg or ModelAssignment.defaults(m)
     members = _normalize_members(m, d)
-    return product(_factors(m, tr, members, asg, corrected_in_set, {}))
+    return product(_Context(m, tr, asg).factors(members, corrected_in_set))
 
 
 def mitigation_operand(m: SystemModel, tr: Trace, d: Candidates,
@@ -247,21 +290,19 @@ def manifestation_operand(m: SystemModel, tr: Trace, d: Candidates,
     return _operand(m, tr, d, asg, False)
 
 
-def _evaluate(m: SystemModel, tr: Trace, members: frozenset[str],
-              asg: ModelAssignment, mode: str, quantifier: Optional[str],
-              cache: dict) -> tuple[Verdict, SetMetrics]:
-    corrected_in_set = mode == "mitigation"
-    factors = _factors(m, tr, members, asg, corrected_in_set, cache)
+def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
+              quantifier: Optional[str]) -> tuple[Verdict, SetMetrics]:
+    factors = ctx.factors(members, mode == "mitigation")
     operand = product(factors)
     stats = OperandStats(operand.state_count, operand.edge_count)
     bound = prod(a.state_count for a in factors)
-    h = len(tr)
+    h = len(ctx.tr)
     realizable = has_trace_of_length(operand, h)
     pairs = 0
     depth = 0
     if mode == "mitigation" or quantifier == "existential":
         # A containment witness exists exactly when containment fails.
-        res = contains(operand, m.global_spec)
+        res = contains(operand, ctx.m.global_spec)
         pairs, depth = res.pairs_explored, res.bfs_depth
         verdict = Verdict(res.holds == (mode == "mitigation"), res.witness,
                           not realizable, stats)
@@ -269,7 +310,7 @@ def _evaluate(m: SystemModel, tr: Trace, members: frozenset[str],
         if not realizable:
             verdict = Verdict(False, None, True, stats)
         else:
-            joint = has_joint_trace_of_length(operand, m.global_spec, h)
+            joint = has_joint_trace_of_length(operand, ctx.m.global_spec, h)
             holds = not joint
             witness = find_trace_of_length(operand, h) if holds else None
             verdict = Verdict(holds, witness, False, stats)
@@ -284,9 +325,8 @@ def mitigates(m: SystemModel, tr: Trace, d: Candidates,
     """Does correcting ``d`` guarantee the global spec against the modeled
     faults of everyone else, at every finite length?"""
     _check_error_trace(m, tr)
-    asg = asg or ModelAssignment.defaults(m)
     members = _normalize_members(m, d)
-    verdict, _ = _evaluate(m, tr, members, asg, "mitigation", None, {})
+    verdict, _ = _evaluate(_Context(m, tr, asg), members, "mitigation", None)
     return verdict
 
 
@@ -300,10 +340,9 @@ def manifests(m: SystemModel, tr: Trace, d: Candidates,
     if quantifier not in QUANTIFIERS:
         raise ValueError(f"quantifier must be one of {QUANTIFIERS}")
     _check_error_trace(m, tr)
-    asg = asg or ModelAssignment.defaults(m)
     members = _normalize_members(m, d)
-    verdict, _ = _evaluate(m, tr, members, asg, "manifestation", quantifier,
-                           {})
+    verdict, _ = _evaluate(_Context(m, tr, asg), members, "manifestation",
+                           quantifier)
     return verdict
 
 
@@ -314,21 +353,6 @@ def minimal_antichain(sets: Iterable[Candidates]) -> list[CandidateSet]:
               for s in sets}
     keep = [s for s in unique if not any(o < s for o in unique)]
     return sorted((CandidateSet(s) for s in keep), key=lambda c: c.sort_key)
-
-
-def _monotone_assignment(m: SystemModel, tr: Trace, asg: ModelAssignment,
-                         cache: dict) -> bool:
-    # When each component's counterfactual language is contained in its
-    # fault language, growing the candidate set can only shrink
-    # (mitigation) or grow (existential manifestation) the operand, so
-    # the predicate is upward-closed: a superset of a satisfying set
-    # satisfies it and a subset of a failing set fails it.
-    for c in m.components:
-        cf = _cached_factor(cache, c, asg.cf_kind(c.name), tr)
-        fault = _cached_factor(cache, c, asg.fault_kind(c.name), tr)
-        if not contains(cf, fault).holds:
-            return False
-    return True
 
 
 def _level_order(k: int) -> list[int]:
@@ -349,7 +373,8 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
                          quantifier: str = "existential",
                          minimal_only: bool = False,
                          allow_nonfaulty: bool = False,
-                         prune: bool = True
+                         prune: bool = True, *,
+                         _context: Optional[_Context] = None
                          ) -> tuple[CauseReport, EnumerationStats]:
     """`enumerate_causal_sets` plus the work counters the report must not
     contain (so that pruned and unpruned runs report identically): sets
@@ -357,26 +382,29 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
     up to 2^k) and one `SetMetrics` row per evaluated set, in
     size-then-lexicographic order.  The exhaustive loop (every run but
     the both-ends search) raises `BudgetExceeded` before it starts when
-    2^k passes `MAX_EVALUATIONS`."""
+    2^k passes `MAX_EVALUATIONS`.  Several modes of one analysis pass
+    the same ``_context``, built on the same ``m``, ``tr`` and ``asg``
+    after the error-trace check; without one, a call makes its own."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if quantifier not in QUANTIFIERS:
         raise ValueError(f"quantifier must be one of {QUANTIFIERS}")
-    _check_error_trace(m, tr)
-    asg = asg or ModelAssignment.defaults(m)
+    ctx = _context
+    if ctx is None:
+        _check_error_trace(m, tr)
+        ctx = _Context(m, tr, asg)
     for c in m.components:
-        asg.cf_kind(c.name)  # fail early on incomplete assignments
+        ctx.asg.cf_kind(c.name)  # fail early on incomplete assignments
 
     if allow_nonfaulty:
         universe = sorted(c.name for c in m.components)
     else:
-        universe = sorted(faulty_components(m, tr).faulty_names)
+        universe = sorted(ctx.violation.faulty_names)
     k = len(universe)
 
-    cache: dict = {}
     monotone = False
     if prune and (mode == "mitigation" or quantifier == "existential"):
-        monotone = _monotone_assignment(m, tr, asg, cache)
+        monotone = ctx.monotone
 
     effective_quantifier = quantifier if mode == "manifestation" else None
     # Only minimal sets of an upward-closed predicate are wanted: skip
@@ -398,8 +426,8 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
                            or any(members < f for f in failing)):
                 pruned += 1
                 continue
-            verdict, metrics = _evaluate(m, tr, members, asg, mode,
-                                         effective_quantifier, cache)
+            verdict, metrics = _evaluate(ctx, members, mode,
+                                         effective_quantifier)
             evaluated += 1
             entries.append((CandidateSet(members), verdict))
             rows.append(metrics)
@@ -423,7 +451,7 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
     report = CauseReport(
         mode=mode,
         quantifier=effective_quantifier,
-        assignment=asg.to_dict(),
+        assignment=ctx.asg.to_dict(),
         candidates=tuple(universe),
         minimal_only=minimal_only,
         all_satisfying=all_satisfying,

@@ -286,20 +286,61 @@ def test_product_with_nondeterministic_member_takes_first_edge():
 
 def test_transition_table_is_built_once_per_scope(monkeypatch):
     calls = []
-    targets = SafetyAutomaton._targets
+    targets = SafetyAutomaton._edge_targets
 
-    def counting(self, q):
-        calls.append(q)
-        return targets(self, q)
+    def counting(self):
+        calls.append(self)
+        return targets(self)
 
-    monkeypatch.setattr(SafetyAutomaton, "_targets", counting)
+    monkeypatch.setattr(SafetyAutomaton, "_edge_targets", counting)
     a = always_zero("x")
     first = a.transition_table(["x", "y"])
     built = len(calls)
-    assert built == a.state_count
+    assert built == 1
     assert a.transition_table(["y", "x"]) is first
     assert len(calls) == built
     assert a.transition_table(["x"]) is not first
+
+
+class _CountingEdges(dict):
+    """An edge map that counts, per state, how often its edges are read."""
+
+    def __init__(self, edges):
+        super().__init__(edges)
+        self.reads = dict.fromkeys(edges, 0)
+
+    def __getitem__(self, q):
+        self.reads[q] += 1
+        return super().__getitem__(q)
+
+    def items(self):
+        for q in self:
+            yield q, self[q]
+
+
+def test_edge_targets_are_built_once_per_state():
+    # Masks handed over up front, so only the target lists read the edges.
+    a = SafetyAutomaton(["x"], ["g", "b"], "g", ["b"], {
+        "g": [(Not(Var("x")), "g"), (Var("x"), "b")], "b": [(TRUE, "b")]},
+        masks={"g": (0b01, 0b10), "b": (0b11,)})
+    a.edges = _CountingEdges(a.edges)
+    for q in a.states:
+        for v in enumerate_valuations(["x", "y"]):
+            a.step(q, v)
+    for _ in range(3):
+        p = product([a, always_zero("y")])
+        product([always_zero("z"), a])
+    a.transition_table(["x", "y", "z"])
+    assert a.edges.reads == {"g": 1, "b": 1}
+    assert a._edge_targets() is a._edge_targets()
+    # A product reads its target lists off its successor maps and builds
+    # no guarded edge for them.
+    assert p._edge_targets() == {s: tuple(succ.values())
+                                 for s, succ in p._succ.items()}
+    run(p, T({"x": 1, "y": 0}))
+    assert p._edges is None
+    assert p._edge_targets() == {s: tuple(t for _, t in es)
+                                 for s, es in p.edges.items()}
 
 
 # ---------------------------------------------------------------------------

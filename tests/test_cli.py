@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import tracecause
+import tracecause.cli as cli
 from tracecause.cli import main
 from tracecause.engine import MAX_EVALUATIONS
 from tracecause.guards import MAX_GUARD_DEPTH
@@ -20,7 +24,12 @@ from conftest import ab_doc
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of ``main(argv)``, usage errors and
+    ``--help`` included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -379,3 +388,73 @@ def test_stats_single_universal_component(capsys, tmp_path):
     # a single universal factor gives a one-state operand product
     full = next(r for r in rows if r["set"] == ["C"])
     assert full["operand_states"] == 1
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch,
+                                                  ab_files, tmp_path):
+    system, trace = ab_files
+    two = tmp_path / "two.txt"
+    two.write_text("x=1 y=1\nx=0 y=0\n")
+    argvs = [
+        ["analyze", system, trace, "--model", "A=observed",
+         "--cf", "B=arbitrary"],
+        ["analyze", system, trace, "--mode", "mitigation"],
+        ["stats", system, str(two), "--horizon", "1", "--minimal-only"],
+        ["analyze", system, trace, "--mode", "sideways"],
+        ["analyze", system, str(two), "--json"],
+        ["analyze", system, trace, "--mode", "mitigation",
+         "--cf", "A=arbitrary", "--cf", "B=arbitrary"],
+        ["analyze", "--help"],
+        ["validate", system],
+        ["analyze", system, trace, "--model", "B=spec", "--json"],
+    ]
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in argvs]
+    assert len(builds) == 1
+    # Fresh parsers, in the reverse order: what one call leaves behind
+    # would reach other calls than before.
+    fresh = []
+    for argv in reversed(argvs):
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli._parser.cache_clear()
+    assert len(builds) == 1 + len(argvs)
+    assert reused == fresh[::-1]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 3, 0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_examples() -> list[tuple[str, str]]:
+    """(command, output) of each ``$ tracecause ...`` line in the README's
+    console blocks; the output runs to the next command or the block's
+    end, trailing blank lines dropped."""
+    examples = []
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```console\n(.*?)```", text, re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            command, _, output = chunk.partition("\n")
+            if command.startswith("$ tracecause "):
+                examples.append((command[2:], output.rstrip("\n")))
+    return examples
+
+
+def test_readme_console_examples(capsys, monkeypatch):
+    examples = readme_examples()
+    assert [shlex.split(c)[1] for c, _ in examples] == ["validate", "analyze"]
+    monkeypatch.chdir(ROOT)
+    for command, expected in examples:
+        code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+        assert (code, err) == (0, ""), command
+        assert out.rstrip("\n") == expected, command

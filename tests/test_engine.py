@@ -2,26 +2,32 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
+import tracecause.cli as cli
+import tracecause.engine as engine
 from tracecause.automata import Trace, Valuation, contains, run
 from tracecause.counterfactual import (ComponentKinds, FaultModelKind,
                                        ModelAssignment)
-from tracecause.engine import (CandidateSet, _monotone_assignment,
+from tracecause.cli import main as cli_main
+from tracecause.engine import (MODES, CandidateSet, _Context,
                                enumerate_causal_sets, enumerate_with_stats,
                                manifestation_operand, manifests,
                                minimal_antichain, mitigates,
                                mitigation_operand)
 from tracecause.errors import NotAnErrorTrace, UnknownComponent
 from tracecause.guards import TRUE
-from tracecause.model import Component, SystemModel, system_from_dict
+from tracecause.model import (Component, SystemModel, serialize_system,
+                              system_from_dict)
 
 from conftest import always_zero
 from oracle import all_traces
-from randsys import random_error_trace, random_system
+from randsys import random_assignment, random_error_trace, random_system
 from tracecause.automata import SafetyAutomaton, product
 
 K = FaultModelKind
@@ -290,7 +296,7 @@ MONOTONE_MODES = [("mitigation", "existential"),
 
 def monotone_cases(rng, n):
     """Seeded random systems and error traces, each with the all-arbitrary
-    assignment and a mixed one `_monotone_assignment` accepts."""
+    assignment and a mixed one that `_Context.monotone` accepts."""
     found = 0
     while found < n:
         m = random_system(rng, max_components=5, max_good=2)
@@ -300,7 +306,7 @@ def monotone_cases(rng, n):
         mixed = ModelAssignment({
             c.name: ComponentKinds(*rng.choice(MONOTONE_KINDS))
             for c in m.components})
-        assert _monotone_assignment(m, tr, mixed, {})
+        assert _Context(m, tr, mixed).monotone
         found += 1
         yield m, tr, ModelAssignment.defaults(m, fault_kind=K.ARBITRARY)
         yield m, tr, mixed
@@ -383,3 +389,90 @@ def test_non_monotone_assignment_evaluates_every_subset():
         _, st = enumerate_with_stats(m, tr, mode, asg, minimal_only=True)
         assert not st.monotone_pruning
         assert (st.evaluated, st.pruned) == (16, 0)
+
+
+# ---------------------------------------------------------------------------
+# one context for both modes of an invocation
+
+def cli_cases(tmp_path):
+    """CLI arguments for the 60 systems and error traces of
+    `monotone_cases`, written out, each with a random mixed assignment as
+    ``--model``/``--cf`` flags and one of the eight quantifier,
+    ``--minimal-only`` and ``--allow-nonfaulty`` combinations, in turn."""
+    rng = random.Random(77)
+    cases = list(monotone_cases(random.Random(2024), 60))[::2]
+    for i, (m, tr, _) in enumerate(cases):
+        system = tmp_path / f"sys{i}.json"
+        system.write_text(serialize_system(m))
+        trace = tmp_path / f"tr{i}.txt"
+        trace.write_text(tr.to_text() + "\n")
+        flags = ["--quantifier", ("existential", "universal")[i % 2]]
+        flags += ["--minimal-only"] * (i // 2 % 2)
+        flags += ["--allow-nonfaulty"] * (i // 4 % 2)
+        for name, kinds in sorted(random_assignment(rng, m).entries.items()):
+            flags += ["--model", f"{name}={kinds.fault_kind.value}",
+                      "--cf", f"{name}={kinds.cf_kind.value}"]
+        yield [str(system), str(trace)] + flags
+
+
+def cli_json(capsys, argv):
+    code = cli_main(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, json.loads(out)
+
+
+@pytest.fixture
+def unchecked_refinement(monkeypatch):
+    # Random global specs seldom refine the composition; the analyses do
+    # not need them to, so the CLI's refinement check is skipped here.
+    monkeypatch.setattr(cli, "validate_system", lambda m: [])
+
+
+@pytest.mark.usefixtures("unchecked_refinement")
+def test_mode_both_equals_the_two_single_modes(capsys, tmp_path):
+    codes = set()
+    for argv in cli_cases(tmp_path):
+        for command in ("analyze", "stats"):
+            both = cli_json(capsys, [command, *argv, "--json"])
+            single = [cli_json(capsys, [command, *argv, "--json",
+                                        "--mode", mode])
+                      for mode in MODES]
+            assert both[1]["analyses"] == [doc["analyses"][0]
+                                           for _, doc in single]
+            for _, doc in single:
+                doc["analyses"] = both[1]["analyses"]
+                assert doc == both[1]
+            assert both[0] == min(code for code, _ in single)
+            codes.add(both[0])
+    assert codes == {0, 3}
+
+
+@pytest.mark.usefixtures("unchecked_refinement")
+@pytest.mark.parametrize("command", ["analyze", "stats"])
+def test_one_invocation_builds_each_factor_once(capsys, monkeypatch,
+                                                tmp_path, command):
+    builds = Counter()
+    real_build = engine.build_fault_model
+
+    def counting_build(kind, c, *args):
+        builds[c.name, kind] += 1
+        return real_build(kind, c, *args)
+
+    monkeypatch.setattr(engine, "build_fault_model", counting_build)
+    calls = Counter()
+    for name in ("faulty_components", "violates_global"):
+        for module in (cli, engine):
+            def counting(*args, name=name, real=getattr(module, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, counting)
+    for argv in itertools.islice(cli_cases(tmp_path), 16):
+        builds.clear()
+        calls.clear()
+        cli_main([command, *argv])
+        capsys.readouterr()
+        assert builds and set(builds.values()) == {1}
+        faulty_needed = command == "analyze" or "--allow-nonfaulty" not in argv
+        assert calls == Counter(violates_global=1,
+                                faulty_components=int(faulty_needed))
