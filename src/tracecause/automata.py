@@ -14,10 +14,11 @@ takes on each letter of its own variables; `step`, wellformedness and
 every transition table read those rows, and a wider scope reads each
 letter's entry at its restriction.  A product never builds guards to
 explore: it combines its members' edge rows and fills its transition
-table as it goes.  Horizon questions build no product at all: one
-layered search walks the states of one automaton (`has_trace_of_length`)
-or pairs of states of two (`has_joint_trace_of_length`) over their own
-transition tables.  A scope of n variables has 2^n letters.
+table as it goes.  Every search is one layered walk over transition
+tables, of states or of pairs of states (`_layers`), and every witness
+is spelled back through its layers (`_spell`); horizon questions build
+no product, even for two automata.  A scope of n variables has 2^n
+letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -32,9 +33,10 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain, islice, takewhile
 from operator import getitem
 from struct import unpack
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 from .errors import DomainMismatch
 from .guards import (And, Guard, TRUE, canonicalize, guard_mask, guard_text,
@@ -577,88 +579,102 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     return p
 
 
+def _layers(start: State, row, drop) -> Iterator[dict[State, None]]:
+    """The states reached from ``start`` by exactly k steps, for k = 0, 1,
+    ...: each layer a dict in discovery order, the entries of ``row(q)``
+    for each state q of the layer before, in order.  ``drop(layer)``
+    gives, as a new collection, the states a layer loses (its bad ones)
+    before it is yielded.
+    An empty layer stays empty; callers decide when to stop."""
+    layer = {start: None}
+    while True:
+        for q in drop(layer):
+            del layer[q]
+        yield layer
+        layer = dict.fromkeys(chain.from_iterable(map(row, layer)))
+
+
+def _nonempty_at(layers: Iterator[dict], h: int) -> bool:
+    """Whether layer ``h`` of ``layers`` is nonempty.  The layer sequence
+    is eventually periodic and an empty layer stays empty, so once a layer
+    repeats, every later layer is empty exactly when it is: the walk stops
+    there instead of iterating a huge horizon."""
+    if h < 0:
+        raise ValueError("length must be nonnegative")
+    seen = set()
+    for k, layer in enumerate(layers):
+        key = frozenset(layer)
+        if k == h or key in seen:
+            return bool(key)
+        seen.add(key)
+
+
+def _spell(layers: list, row, scope: tuple[str, ...]) -> Trace:
+    """The trace over ``scope`` that leads from layer 0 of ``layers`` to
+    the first state of the last one.  Walking back, a state's predecessor
+    is the first state of the layer before whose ``row`` reaches it, on
+    the first letter that does: the state and letter that discovered it."""
+    cur = next(iter(layers[-1]))
+    letters = []
+    for layer in reversed(layers[:-1]):
+        for q in layer:
+            r = row(q)
+            if cur in r:
+                letters.append(_letter(scope, r.index(cur)))
+                cur = q
+                break
+    return Trace(reversed(letters))
+
+
 def contains(a: SafetyAutomaton, b: SafetyAutomaton) -> ContainmentResult:
     """Decide L(a) <= L(b) over the union scope by synchronized BFS.
 
-    Searches for a shortest reachable pair (good in ``a``, bad in ``b``);
-    the letters on the BFS path, taken in the canonical valuation order,
-    form the witness.  Exploration from pairs whose ``a`` coordinate is
-    bad is pruned: bad states are absorbing, so no witness extends them.
+    Walks pairs one layer at a time, each pair visited once, to a
+    shortest reachable pair good in ``a`` and bad in ``b``.  Pairs bad in
+    ``a`` are counted but not expanded: bad states are absorbing, so no
+    witness extends them.  The witness is spelled back through the
+    expanded layers (`_spell`).
     """
     scope = tuple(sorted(a.var_set | b.var_set))
-    nletters = 1 << len(scope)
-    ta = a.transition_table(scope)
-    tb = b.transition_table(scope)
+    ta, tb = a.transition_table(scope), b.transition_table(scope)
+    bad_a, bad_b = a.bad, b.bad
 
-    start = (a.initial, b.initial)
-    if a.initial not in a.bad and b.initial in b.bad:
-        return ContainmentResult(False, Trace(()), 1, 0)
-    parents: dict[tuple[State, State], Optional[tuple[tuple[State, State], int]]] = {
-        start: None}
-    depth = {start: 0}
-    max_depth = 0
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qa, qb = pair
-        if qa in a.bad:
-            continue
-        rowa, rowb = ta[qa], tb[qb]
-        d = depth[pair]
-        for i in range(nletters):
-            nxt = (rowa[i], rowb[i])
-            if nxt in parents:
-                continue
-            parents[nxt] = (pair, i)
-            depth[nxt] = d + 1
-            max_depth = max(max_depth, d + 1)
-            if nxt[0] not in a.bad and nxt[1] in b.bad:
-                letters = []
-                cur = nxt
-                while parents[cur] is not None:
-                    prev, idx = parents[cur]
-                    letters.append(_letter(scope, idx))
-                    cur = prev
-                letters.reverse()
-                return ContainmentResult(False, Trace(letters),
-                                         len(parents), d + 1)
-            queue.append(nxt)
-    return ContainmentResult(True, None, len(parents), max_depth)
+    def row(p):
+        return list(zip(ta[p[0]], tb[p[1]]))
 
-
-def _has_path_of_length(start: State, successors, good, h: int) -> bool:
-    """True iff some path of exactly ``h`` steps from ``start`` stays in
-    good states, where ``successors`` gives a state's successors (one per
-    letter) and ``good`` keeps the good states of a frozenset; decided by
-    h-step forward reachability."""
-    if h < 0:
-        raise ValueError("length must be nonnegative")
-    layer = good(frozenset((start,)))
-    # The layer sequence is eventually periodic and an empty layer stays
-    # empty, so once a layer repeats, every later layer is empty exactly
-    # when it is: stop there instead of iterating a huge horizon.
-    seen = set()
-    for _ in range(h):
-        if layer in seen:
-            break
-        seen.add(layer)
-        layer = good(frozenset().union(*map(successors, layer)))
-    return bool(layer)
+    seen = {(a.initial, b.initial)}
+    layer = list(seen)  # the pairs first reached in len(expanded) steps
+    expanded: list[list] = []  # the pairs expanded at each smaller depth
+    while layer:
+        for k, (qa, qb) in enumerate(layer):
+            if qa not in bad_a and qb in bad_b:
+                return ContainmentResult(
+                    False, _spell(expanded + [[(qa, qb)]], row, scope),
+                    len(seen) - len(layer) + k + 1, len(expanded))
+        expanded.append([p for p in layer if p[0] not in bad_a])
+        reached = dict.fromkeys(chain.from_iterable(map(row, expanded[-1])))
+        layer = [p for p in reached if p not in seen]
+        seen.update(layer)
+    return ContainmentResult(True, None, len(seen), len(expanded) - 1)
 
 
 def has_trace_of_length(a: SafetyAutomaton, h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted, decided by
     h-step forward reachability through good states."""
-    table, bad = a.transition_table(a.vars), a.bad
-    return _has_path_of_length(a.initial, table.__getitem__,
-                               lambda qs: qs - bad, h)
+    table = a.transition_table(a.vars)
+    return _nonempty_at(
+        _layers(a.initial, table.__getitem__, a.bad.intersection), h)
 
 
 def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
     """A deterministic accepted trace of length exactly ``h``, or None.
 
-    Layered parent pointers are kept, so the horizon should be modest
-    (it is the error-trace length in practice).
+    The layered walk of `has_trace_of_length` runs to layer ``h`` (or to
+    its first empty layer), and the first state of layer ``h`` is spelled
+    back to the initial state (`_spell`).  All h + 1 layers are kept, so
+    the horizon should be modest (it is the error-trace length in
+    practice).  Where no step is taken (a bad initial state, or h = 0),
+    no transition table is built.
     """
     if h < 0:
         raise ValueError("length must be nonnegative")
@@ -667,37 +683,22 @@ def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
     if h == 0:
         return Trace(())
     table = a.transition_table(a.vars)
-    layers: list[dict[State, Optional[tuple[State, int]]]] = [{a.initial: None}]
-    for _ in range(h):
-        cur: dict[State, tuple[State, int]] = {}
-        for q in layers[-1]:
-            for i, t in enumerate(table[q]):
-                if t not in a.bad and t not in cur:
-                    cur[t] = (q, i)
-        if not cur:
-            return None
-        layers.append(cur)
-    end = next(iter(layers[h]))
-    letters = []
-    cur_state = end
-    for k in range(h, 0, -1):
-        prev, idx = layers[k][cur_state]
-        letters.append(_letter(a.vars, idx))
-        cur_state = prev
-    letters.reverse()
-    return Trace(letters)
+    layers = list(islice(takewhile(bool, _layers(
+        a.initial, table.__getitem__, a.bad.intersection)), h + 1))
+    if len(layers) <= h:
+        return None
+    return _spell(layers, table.__getitem__, a.vars)
 
 
 def has_joint_trace_of_length(a: SafetyAutomaton, b: SafetyAutomaton,
                               h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted by both
-    automata.  No product is built: the search walks pairs of states over
-    the two transition tables at the union scope, dropping every pair
-    with a bad coordinate."""
+    automata.  No product is built: the layered walk goes over pairs of
+    states, read off the two transition tables at the union scope, and
+    drops every pair with a bad coordinate."""
     scope = tuple(sorted(a.var_set | b.var_set))
     ta, tb = a.transition_table(scope), b.transition_table(scope)
     bad_a, bad_b = a.bad, b.bad
-    return _has_path_of_length(
+    return _nonempty_at(_layers(
         (a.initial, b.initial), lambda p: zip(ta[p[0]], tb[p[1]]),
-        lambda ps: frozenset(p for p in ps
-                             if p[0] not in bad_a and p[1] not in bad_b), h)
+        lambda ps: [p for p in ps if p[0] in bad_a or p[1] in bad_b]), h)

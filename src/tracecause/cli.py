@@ -23,6 +23,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .automata import Trace
@@ -30,8 +31,8 @@ from .counterfactual import FaultModelKind, ModelAssignment
 from .engine import (CauseReport, EnumerationStats, _Context,
                      _trace_to_jsonable, enumerate_with_stats)
 from .errors import (BudgetExceeded, HorizonMismatch, NotAnErrorTrace,
-                     ParseError, SchemaError, UnknownComponent,
-                     ValidationError)
+                     ParseError, SchemaError, TraceCauseError,
+                     UnknownComponent, ValidationError)
 from .model import (SystemModel, faulty_components, parse_system, parse_trace,
                     validate_system, violates_global)
 
@@ -105,12 +106,15 @@ def _parse_kind_option(option: str, value: str) -> tuple[str, FaultModelKind]:
 
 def _build_assignment(args, m: SystemModel) -> ModelAssignment:
     asg = ModelAssignment.defaults(m)
-    for value in args.model or ():
-        name, kind = _parse_kind_option("--model", value)
-        asg = asg.override(name, fault_kind=kind)
-    for value in args.cf or ():
-        name, kind = _parse_kind_option("--cf", value)
-        asg = asg.override(name, cf_kind=kind)
+    try:
+        for value in args.model or ():
+            name, kind = _parse_kind_option("--model", value)
+            asg = asg.override(name, fault_kind=kind)
+        for value in args.cf or ():
+            name, kind = _parse_kind_option("--cf", value)
+            asg = asg.override(name, cf_kind=kind)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
     return asg
 
 
@@ -125,9 +129,6 @@ def _diag_jsonable(d) -> dict:
 def cmd_validate(args) -> int:
     try:
         m = _load_system(args)
-    except (ParseError, SchemaError) as e:
-        _err(f"error: {e}")
-        return 2
     except ValidationError as e:
         if args.json:
             diags = [_diag_jsonable(d) for d in e.diagnostics] or [
@@ -136,8 +137,7 @@ def cmd_validate(args) -> int:
             _print_json({"schema_version": SCHEMA_VERSION,
                          "command": "validate", "status": "invalid",
                          "diagnostics": diags})
-        _err(f"invalid: {e}")
-        return 1
+        raise
     diags = validate_system(m)
     if args.json:
         _print_json({"schema_version": SCHEMA_VERSION, "command": "validate",
@@ -155,31 +155,16 @@ def cmd_validate(args) -> int:
 
 def _prepare_analysis(args):
     """Common analyze/stats pipeline; returns (exit_code, payload)."""
-    try:
-        m = _load_system(args)
-    except (ParseError, SchemaError) as e:
-        _err(f"error: {e}")
-        return 2, None
-    except ValidationError as e:
-        _err(f"invalid: {e}")
-        return 1, None
+    m = _load_system(args)
     diags = validate_system(m)
     if diags:
         for d in diags:
             _err(f"{d.kind}: {d.message}")
         return 1, None
-    try:
-        tr = _load_trace(args, m)
-        asg = _build_assignment(args, m)
-    except (ParseError, HorizonMismatch, ValueError) as e:
-        _err(f"error: {e}")
-        return 2, None
-    except UnknownComponent as e:
-        _err(f"error: unknown component {e}")
-        return 2, None
+    tr = _load_trace(args, m)
+    asg = _build_assignment(args, m)
     if violates_global(m, tr).accepted:
-        _err("not an error trace: the global spec accepts it")
-        return 4, None
+        raise NotAnErrorTrace("the global spec accepts it")
     return 0, (m, tr, asg)
 
 
@@ -266,7 +251,7 @@ def cmd_stats(args) -> int:
                 "mode": report.mode,
                 "quantifier": report.quantifier,
                 "candidates": list(report.candidates),
-                "complexity": report.to_dict()["complexity"],
+                "complexity": asdict(report.complexity),
                 "subsets": {"evaluated": stats.evaluated,
                             "pruned": stats.pruned,
                             "monotone_pruning": stats.monotone_pruning},
@@ -369,16 +354,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# The exit code and stderr prefix of each refusal a command raises.
+_REFUSALS = (
+    ((ParseError, SchemaError, HorizonMismatch, BudgetExceeded, OSError), 2,
+     "error: "),
+    (UnknownComponent, 2, "error: unknown component "),
+    (ValidationError, 1, "invalid: "),
+    (NotAnErrorTrace, 4, "not an error trace: "),
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotAnErrorTrace as e:
-        _err(f"not an error trace: {e}")
-        return 4
-    except (BudgetExceeded, OSError) as e:
-        _err(f"error: {e}")
-        return 2
+    except (TraceCauseError, OSError) as e:
+        for types, code, prefix in _REFUSALS:
+            if isinstance(e, types):
+                _err(f"{prefix}{e}")
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ many modes run.  Each evaluation still builds its own operand product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from math import prod
 from typing import Iterable, Optional, Union
@@ -170,11 +170,7 @@ class CauseReport:
                 for cs, v in self.verdicts
             ],
             "notes": list(self.notes),
-            "complexity": {
-                "candidates": self.complexity.candidates,
-                "worst_case_evaluations": self.complexity.worst_case_evaluations,
-                "components": self.complexity.components,
-            },
+            "complexity": asdict(self.complexity),
         }
 
 
@@ -297,7 +293,6 @@ def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
     stats = OperandStats(operand.state_count, operand.edge_count)
     bound = prod(a.state_count for a in factors)
     h = len(ctx.tr)
-    realizable = has_trace_of_length(operand, h)
     pairs = 0
     depth = 0
     if mode == "mitigation" or quantifier == "existential":
@@ -305,15 +300,17 @@ def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
         res = contains(operand, ctx.m.global_spec)
         pairs, depth = res.pairs_explored, res.bfs_depth
         verdict = Verdict(res.holds == (mode == "mitigation"), res.witness,
-                          not realizable, stats)
+                          not has_trace_of_length(operand, h), stats)
     else:
-        if not realizable:
+        # One walk to the horizon decides realizability and gives the
+        # witness a holding verdict reports.
+        witness = find_trace_of_length(operand, h)
+        if witness is None:
             verdict = Verdict(False, None, True, stats)
         else:
-            joint = has_joint_trace_of_length(operand, ctx.m.global_spec, h)
-            holds = not joint
-            witness = find_trace_of_length(operand, h) if holds else None
-            verdict = Verdict(holds, witness, False, stats)
+            holds = not has_joint_trace_of_length(operand, ctx.m.global_spec,
+                                                  h)
+            verdict = Verdict(holds, witness if holds else None, False, stats)
             depth = h
     metrics = SetMetrics(tuple(sorted(members)), stats.states, stats.edges,
                          bound, pairs, depth)

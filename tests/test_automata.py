@@ -7,8 +7,8 @@ import random
 import pytest
 
 import tracecause.automata
-from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
-                                 check_wellformed, contains,
+from tracecause.automata import (ContainmentResult, SafetyAutomaton, Trace,
+                                 Valuation, check_wellformed, contains,
                                  enumerate_valuations, find_trace_of_length,
                                  has_joint_trace_of_length,
                                  has_trace_of_length, product, run,
@@ -16,9 +16,11 @@ from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
 from tracecause.counterfactual import FaultModelKind, build_fault_model
 from tracecause.engine import manifestation_operand
 from tracecause.errors import DomainMismatch
-from tracecause.guards import TRUE, And, Not, Or, Var, guard_eval, guard_mask
+from tracecause.guards import (TRUE, And, Not, Or, Var, cube, disj, guard_eval,
+                               guard_mask)
 from tracecause.model import project_trace
 
+import search_reference
 from conftest import always_zero
 from oracle import all_traces, all_valuations, oracle_accepts, oracle_step
 from randsys import (random_assignment, random_automaton, random_error_trace,
@@ -523,6 +525,72 @@ def test_joint_horizon_builds_no_product(monkeypatch):
         for h in HORIZONS:
             has_joint_trace_of_length(a, b, h)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the search core against the separately written reference loops
+
+def random_raw_automaton(rng, names, uncovered=0.0):
+    """Deterministic, but with a random set of bad states that need not
+    absorb (the initial state may be bad), and each letter left without an
+    edge with probability ``uncovered``."""
+    names = tuple(sorted(names))
+    states = [f"s{i}" for i in range(rng.randint(1, 4))]
+    bad = [q for q in states if rng.random() < 0.3]
+    edges = {}
+    for q in states:
+        by_target: dict[str, list] = {}
+        for v in enumerate_valuations(names):
+            if rng.random() >= uncovered:
+                by_target.setdefault(rng.choice(states), []).append(v)
+        edges[q] = [(disj(cube(v, names) for v in vs), t)
+                    for t, vs in sorted(by_target.items())]
+    return SafetyAutomaton(names, states, states[0], bad, edges)
+
+
+def raw_automaton_pairs(rng, n, uncovered=0.0):
+    scopes = [["u"], ["v"], ["u", "v"], ["v", "w"], ["u", "v", "w"]]
+    for _ in range(n):
+        yield tuple(random_raw_automaton(rng, rng.choice(scopes), uncovered)
+                    for _ in range(2))
+
+
+def outcome(f, *args):
+    """The result of ``f(*args)``, or the type and message it raised."""
+    try:
+        return f(*args)
+    except (RuntimeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("pairs, incomplete", [
+    (lambda: random_automaton_pairs(random.Random(31), 80), False),
+    (lambda: raw_automaton_pairs(random.Random(32), 120), False),
+    (lambda: raw_automaton_pairs(random.Random(33), 60, uncovered=0.15), True),
+    (lambda: randsys_operand_pairs(random.Random(34), 40), False),
+], ids=["wellformed", "not-wellformed", "incomplete", "randsys-operands"])
+def test_search_core_matches_reference(pairs, incomplete):
+    """Every `ContainmentResult` field, every witness of a given length,
+    the horizon answers and the errors equal the reference loops'."""
+    seen = set()
+    for a, b in pairs():
+        for x, y in ((a, b), (b, a)):
+            got = outcome(contains, x, y)
+            assert got == outcome(search_reference.contains, x, y)
+            seen.add(got.holds if isinstance(got, ContainmentResult)
+                     else got[0])
+            for h in [-1, *range(7), 10 ** 9]:
+                assert outcome(has_trace_of_length, x, h) == \
+                    outcome(search_reference.has_trace_of_length, x, h)
+                assert outcome(has_joint_trace_of_length, x, y, h) == \
+                    outcome(search_reference.has_joint_trace_of_length,
+                            x, y, h)
+                if h <= 6:
+                    assert outcome(find_trace_of_length, x, h) == \
+                        outcome(search_reference.find_trace_of_length, x, h)
+    # Both containment answers occur, and only incomplete tables raise.
+    assert {True, False} <= seen
+    assert (RuntimeError in seen) == incomplete
 
 
 def test_transition_table_matches_step():

@@ -391,6 +391,144 @@ def test_stats_single_universal_component(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# error paths: the exact exit code, stdout and stderr of each refusal
+
+def _edited(*edits) -> str:
+    doc = ab_doc()
+    for edit in edits:
+        edit(doc)
+    return json.dumps(doc)
+
+
+def _spec_edges(doc, name="A"):
+    return next(c for c in doc["components"]
+                if c["name"] == name)["spec"]["edges"]
+
+
+# System file text by case; None leaves the file missing.
+ERROR_SYSTEMS = {
+    "ok": json.dumps(ab_doc()),
+    "bad-json": "{ nope",
+    "schema": _edited(lambda d: d.update(global_spec=[])),
+    "invalid-spec": _edited(lambda d: _spec_edges(d).append(
+        {"from": "g", "guard": "true", "to": "g"})),
+    "undeclared-variable": _edited(
+        lambda d: _spec_edges(d)[0].update(guard="!z")),
+    "refinement-violation": _edited(
+        lambda d: _spec_edges(d, "B")[0].update(guard="true"),
+        lambda d: d["global_spec"]["edges"][0].update(guard="!x & !y")),
+    "missing-file": None,
+}
+
+_NONDETERMINISTIC = ("components[0].spec: nondeterministic-state: state "
+                     "'g': several edges enabled on x=0")
+_UNDECLARED = ("components[0].spec.edges[0]: guard mentions undeclared "
+               "variable 'z'")
+
+# (case, system, trace text or None for a missing file, extra flags,
+#  exit code, stderr) for analyze and stats; <tmp> stands for the
+# directory of the files.
+ERROR_PATHS = [
+    ("bad-json", "bad-json", "x=1 y=1", [], 2,
+     "error: Expecting property name enclosed in double quotes (system "
+     "document, line 1, column 3)\n"),
+    ("schema", "schema", "x=1 y=1", [], 2,
+     "error: global_spec: automaton must be an object\n"),
+    ("invalid-spec", "invalid-spec", "x=1 y=1", [], 1,
+     f"invalid: {_NONDETERMINISTIC}\n"),
+    ("undeclared-variable", "undeclared-variable", "x=1 y=1", [], 1,
+     f"invalid: {_UNDECLARED}\n"),
+    ("refinement-violation", "refinement-violation", "x=1 y=1", [], 1,
+     "refinement-violation: the composed component specs admit a "
+     "behavior the global spec rejects\n"),
+    ("missing-system", "missing-file", "x=1 y=1", [], 2,
+     "error: [Errno 2] No such file or directory: '<tmp>/sys.json'\n"),
+    ("missing-trace", "ok", None, [], 2,
+     "error: [Errno 2] No such file or directory: '<tmp>/tr.txt'\n"),
+    ("bad-trace-token", "ok", "x=2 y=1", [], 2,
+     "error: expected 'var=0' or 'var=1', found 'x=2' (line 1)\n"),
+    ("unknown-component", "ok", "x=1 y=1", ["--model", "Z=spec"], 2,
+     "error: unknown component Z\n"),
+    ("bad-kind", "ok", "x=1 y=1", ["--model", "A=bogus"], 2,
+     "error: unknown fault-model kind 'bogus' (expected one of: spec, "
+     "arbitrary, observed, observed-out, prefix-correct)\n"),
+    ("cf-without-kind", "ok", "x=1 y=1", ["--cf", "A"], 2,
+     "error: --cf expects NAME=KIND, got 'A'\n"),
+    ("horizon-past-end", "ok", "x=1 y=1", ["--horizon", "5"], 2,
+     "error: --horizon 5 is outside the trace length 1\n"),
+    ("horizon-negative", "ok", "x=1 y=1", ["--horizon", "-1"], 2,
+     "error: --horizon -1 is outside the trace length 1\n"),
+    ("not-an-error-trace", "ok", "x=0 y=0", [], 4,
+     "not an error trace: the global spec accepts it\n"),
+    ("horizon-zero", "ok", "x=1 y=1", ["--horizon", "0"], 4,
+     "not an error trace: the global spec accepts it\n"),
+]
+
+_DIAGNOSTICS_JSON = """\
+{{
+  "schema_version": 1,
+  "command": "validate",
+  "status": "invalid",
+  "diagnostics": [
+    {{
+      "kind": "{kind}",
+      "subject": "{subject}",
+      "message": "{message}",
+      "witness": null
+    }}
+  ]
+}}
+"""
+
+_STDERR = {p[0]: p[5] for p in ERROR_PATHS}
+
+# validate: (exit code, stdout with --json, stderr) by system case.
+VALIDATE_ERRORS = {
+    "bad-json": (2, "", _STDERR["bad-json"]),
+    "schema": (2, "", _STDERR["schema"]),
+    "invalid-spec": (1, _DIAGNOSTICS_JSON.format(
+        kind="nondeterministic-state", subject="g",
+        message="state 'g': several edges enabled on x=0"),
+        f"invalid: {_NONDETERMINISTIC}\n"),
+    "undeclared-variable": (1, _DIAGNOSTICS_JSON.format(
+        kind="validation-error", subject="system", message=_UNDECLARED),
+        f"invalid: {_UNDECLARED}\n"),
+    "missing-file": (2, "", _STDERR["missing-system"]),
+}
+
+
+def _error_files(tmp_path, system, trace):
+    paths = []
+    for name, text in (("sys.json", ERROR_SYSTEMS[system]), ("tr.txt", trace)):
+        if text is not None:
+            (tmp_path / name).write_text(text + "\n")
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["analyze", "stats"])
+@pytest.mark.parametrize("case, system, trace, extra, code, err",
+                         ERROR_PATHS, ids=[p[0] for p in ERROR_PATHS])
+def test_analysis_error_paths(capsys, tmp_path, command, json_flag, case,
+                              system, trace, extra, code, err):
+    argv = [command, *_error_files(tmp_path, system, trace), *extra,
+            *json_flag]
+    got = run_cli(capsys, *argv)
+    assert got == (code, "", err.replace("<tmp>", str(tmp_path)))
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("system", sorted(VALIDATE_ERRORS))
+def test_validate_error_paths(capsys, tmp_path, system, json_flag):
+    code, json_out, err = VALIDATE_ERRORS[system]
+    path, _ = _error_files(tmp_path, system, None)
+    got = run_cli(capsys, "validate", path, *json_flag)
+    assert got == (code, json_out if json_flag else "",
+                   err.replace("<tmp>", str(tmp_path)))
+
+
+# ---------------------------------------------------------------------------
 # one parser per process
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch,
