@@ -1,20 +1,27 @@
 """Command-line frontend: validate systems, analyze error traces, report
 work statistics.
 
-Exit codes: 0 success (for analyze: at least one causal set found),
-1 validation failure, 2 parse/schema/usage error or a refused budget
-(`errors.BudgetExceeded`: too many variables, or too many candidate sets
-for the exhaustive search), 3 no causal set, 4 the trace does not violate
-the global spec.  Reports go to stdout,
+Exit codes: 0 success (for analyze: at least one causal set found);
+1 validation failure (``invalid: ...``, or the failed refinement
+diagnostics); 2 a usage error, or a refused input, printed as
+``error: ...``: a parse or schema error, a file that cannot be read
+(``[Errno 2] No such file or directory: '...'``), a component that
+``--model``/``--cf`` names but the system lacks (``unknown component
+Z``), a ``--horizon`` outside the trace (``--horizon 5 is outside the
+trace length 1``) or a refused budget (`errors.BudgetExceeded`: too
+many variables, or too many candidate sets for the exhaustive search);
+3 no causal set; 4 the trace does not violate the global spec.  Each
+refusal maps to its code through `_REFUSALS`.  Reports go to stdout,
 diagnostics to stderr; all output is byte-deterministic for identical
 inputs.
 
 `main(argv)` may be called any number of times in one process: the
 argument parser is built on the first call and reused, and no call
 leaves state behind for the next.  Within one ``analyze`` or ``stats``
-call the requested modes share one engine context, so the error-trace
-check, the faulty components, the fault-model factors and the
-monotonicity verdict are each computed once (see `engine`).
+call the requested modes share one engine context, so the faulty
+components (which decide the error-trace check), the fault-model
+factors and the monotonicity verdict are each computed once (see
+`engine`).
 """
 
 from __future__ import annotations
@@ -28,13 +35,14 @@ from typing import Optional
 
 from .automata import Trace
 from .counterfactual import FaultModelKind, ModelAssignment
-from .engine import (CauseReport, EnumerationStats, _Context,
+from .engine import (CauseReport, EnumerationStats, _analysis, _Context,
                      _trace_to_jsonable, enumerate_with_stats)
 from .errors import (BudgetExceeded, HorizonMismatch, NotAnErrorTrace,
                      ParseError, SchemaError, TraceCauseError,
                      UnknownComponent, ValidationError)
-from .model import (SystemModel, faulty_components, parse_system, parse_trace,
-                    validate_system, violates_global)
+from .model import SystemModel, parse_system, parse_trace, validate_system
+from .model import (  # noqa: F401  (rebound by bench/tracing.py)
+    faulty_components, violates_global)
 
 SCHEMA_VERSION = 1
 
@@ -153,28 +161,25 @@ def cmd_validate(args) -> int:
     return 0 if not diags else 1
 
 
-def _prepare_analysis(args):
-    """Common analyze/stats pipeline; returns (exit_code, payload)."""
+def _prepare_analysis(args) -> Optional[_Context]:
+    """Common analyze/stats pipeline: the context the analyses share, or
+    None when the system fails validation (diagnostics on stderr)."""
     m = _load_system(args)
     diags = validate_system(m)
     if diags:
         for d in diags:
             _err(f"{d.kind}: {d.message}")
-        return 1, None
+        return None
     tr = _load_trace(args, m)
-    asg = _build_assignment(args, m)
-    if violates_global(m, tr).accepted:
-        raise NotAnErrorTrace("the global spec accepts it")
-    return 0, (m, tr, asg)
+    return _analysis(m, tr, _build_assignment(args, m))
 
 
-def _run_analyses(args, m, tr, asg, vio=None
+def _run_analyses(args, ctx: _Context
                   ) -> list[tuple[CauseReport, EnumerationStats]]:
-    """Each requested mode, in one shared context (``vio`` is the
-    already computed `faulty_components`, if any)."""
+    """Each requested mode, in the one shared context."""
     modes = ["mitigation", "manifestation"] if args.mode == "both" else [args.mode]
-    ctx = _Context(m, tr, asg, vio)
-    return [enumerate_with_stats(m, tr, mode, asg, quantifier=args.quantifier,
+    return [enumerate_with_stats(ctx.m, ctx.tr, mode, ctx.asg,
+                                 quantifier=args.quantifier,
                                  minimal_only=args.minimal_only,
                                  allow_nonfaulty=args.allow_nonfaulty,
                                  _context=ctx)
@@ -206,13 +211,11 @@ def _report_lines(report: CauseReport) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
-    code, payload = _prepare_analysis(args)
-    if payload is None:
-        return code
-    m, tr, asg = payload
-    vio = faulty_components(m, tr)
-    results = _run_analyses(args, m, tr, asg, vio)
-    reports = [r for r, _ in results]
+    ctx = _prepare_analysis(args)
+    if ctx is None:
+        return 1
+    reports = [r for r, _ in _run_analyses(args, ctx)]
+    tr, vio = ctx.tr, ctx.violation
     if args.json:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -239,11 +242,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    code, payload = _prepare_analysis(args)
-    if payload is None:
-        return code
-    m, tr, asg = payload
-    results = _run_analyses(args, m, tr, asg)
+    ctx = _prepare_analysis(args)
+    if ctx is None:
+        return 1
+    results = _run_analyses(args, ctx)
     if args.json:
         analyses = []
         for report, stats in results:
@@ -265,7 +267,7 @@ def cmd_stats(args) -> int:
                 ],
             })
         _print_json({"schema_version": SCHEMA_VERSION, "command": "stats",
-                     "trace_length": len(tr), "analyses": analyses})
+                     "trace_length": len(ctx.tr), "analyses": analyses})
     else:
         lines = []
         for report, stats in results:

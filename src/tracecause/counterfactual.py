@@ -17,7 +17,7 @@ over that component's variables:
 
 All five are nonempty and prefix-closed, so they live in the same
 deterministic safety-automaton representation as the specs themselves,
-and the unbodied containment checks of the analysis engine stay
+and the unbounded containment checks of the analysis engine stay
 meaningful - the horizon-bounded quantification happens in the engine,
 not in the language.
 """

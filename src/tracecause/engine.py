@@ -25,11 +25,11 @@ Everything here is a pure function of immutable inputs; candidate sets
 could be evaluated concurrently, but results are reduced in the fixed
 size-then-lexicographic order so reports are byte-reproducible.
 
-The modes of one analysis share one `_Context`: the error-trace check,
-the locally faulty components, one fault-model factor per (component,
-kind) with the edge rows and transition tables it caches, and the
-monotonicity verdict of the assignment are each computed once, however
-many modes run.  Each evaluation still builds its own operand product.
+The modes of one analysis share one `_Context` (see `_analysis`): the
+faulty-components report, one fault-model factor per (component, kind)
+with the edge rows and transition tables it caches, and the monotonicity
+verdict of the assignment are each computed once, however many modes
+run.  Each evaluation still builds its own operand product.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .automata import (SafetyAutomaton, Trace, contains,
                        has_trace_of_length, product)
 from .counterfactual import FaultModelKind, ModelAssignment, build_fault_model
 from .errors import BudgetExceeded, NotAnErrorTrace, UnknownComponent
-from .model import (SystemModel, ViolationReport, faulty_components,
-                    project_trace, violates_global)
+from .model import SystemModel, faulty_components, project_trace
+from .model import violates_global  # noqa: F401  (rebound by bench/tracing.py)
 
 MODES = ("mitigation", "manifestation")
 QUANTIFIERS = ("existential", "universal")
@@ -188,13 +188,6 @@ def _trace_to_jsonable(t: Optional[Trace]):
     return [dict(step.items()) for step in t]
 
 
-def _check_error_trace(m: SystemModel, tr: Trace) -> None:
-    if violates_global(m, tr).accepted:
-        raise NotAnErrorTrace(
-            "the global spec accepts this trace; there is no violation to "
-            "explain")
-
-
 def _normalize_members(m: SystemModel, d: Candidates) -> frozenset[str]:
     members = frozenset(d.members if isinstance(d, CandidateSet) else d)
     known = {c.name for c in m.components}
@@ -207,27 +200,18 @@ def _normalize_members(m: SystemModel, d: Candidates) -> frozenset[str]:
 class _Context:
     """What every mode of one analysis of ``tr`` shares, each part
     computed at most once: the assignment (the defaults when none is
-    given), the locally faulty components, one fault-model factor per
+    given), the `faulty_components` report, one fault-model factor per
     (component, kind) and whether the assignment is monotone.  The
     factors keep the edge rows and transition tables they cache; no
-    operand product is kept.  ``violation`` may be handed in by a caller
-    that has already computed it.  An analysis builds one only after
-    checking that ``tr`` is an error trace (`_check_error_trace`)."""
+    operand product is kept.  Analyses build one through `_analysis`."""
 
     def __init__(self, m: SystemModel, tr: Trace,
-                 asg: Optional[ModelAssignment] = None,
-                 violation: Optional[ViolationReport] = None):
+                 asg: Optional[ModelAssignment] = None):
         self.m, self.tr = m, tr
         self.asg = asg or ModelAssignment.defaults(m)
+        self.violation = faulty_components(m, tr)
         self._factors: dict = {}
-        self._violation = violation
         self._monotone: Optional[bool] = None
-
-    @property
-    def violation(self) -> ViolationReport:
-        if self._violation is None:
-            self._violation = faulty_components(self.m, self.tr)
-        return self._violation
 
     @property
     def monotone(self) -> bool:
@@ -261,6 +245,17 @@ class _Context:
                             if (c.name in members) == corrected_in_set
                             else asg.fault_kind(c.name))
                 for c in self.m.components]
+
+
+def _analysis(m: SystemModel, tr: Trace,
+              asg: Optional[ModelAssignment] = None) -> _Context:
+    """The context of an analysis of ``tr``; raises `NotAnErrorTrace`
+    unless its `faulty_components` report has ``tr`` violate the global
+    spec.  Every analysis decides that here, and only here."""
+    ctx = _Context(m, tr, asg)
+    if ctx.violation.global_violation_index is None:
+        raise NotAnErrorTrace("the global spec accepts it")
+    return ctx
 
 
 def _operand(m: SystemModel, tr: Trace, d: Candidates,
@@ -321,9 +316,9 @@ def mitigates(m: SystemModel, tr: Trace, d: Candidates,
               asg: Optional[ModelAssignment] = None) -> Verdict:
     """Does correcting ``d`` guarantee the global spec against the modeled
     faults of everyone else, at every finite length?"""
-    _check_error_trace(m, tr)
+    ctx = _analysis(m, tr, asg)
     members = _normalize_members(m, d)
-    verdict, _ = _evaluate(_Context(m, tr, asg), members, "mitigation", None)
+    verdict, _ = _evaluate(ctx, members, "mitigation", None)
     return verdict
 
 
@@ -336,10 +331,9 @@ def manifests(m: SystemModel, tr: Trace, d: Candidates,
     observed length ("universal")."""
     if quantifier not in QUANTIFIERS:
         raise ValueError(f"quantifier must be one of {QUANTIFIERS}")
-    _check_error_trace(m, tr)
+    ctx = _analysis(m, tr, asg)
     members = _normalize_members(m, d)
-    verdict, _ = _evaluate(_Context(m, tr, asg), members, "manifestation",
-                           quantifier)
+    verdict, _ = _evaluate(ctx, members, "manifestation", quantifier)
     return verdict
 
 
@@ -369,8 +363,7 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
                          asg: Optional[ModelAssignment] = None,
                          quantifier: str = "existential",
                          minimal_only: bool = False,
-                         allow_nonfaulty: bool = False,
-                         prune: bool = True, *,
+                         allow_nonfaulty: bool = False, *,
                          _context: Optional[_Context] = None
                          ) -> tuple[CauseReport, EnumerationStats]:
     """`enumerate_causal_sets` plus the work counters the report must not
@@ -380,16 +373,13 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
     size-then-lexicographic order.  The exhaustive loop (every run but
     the both-ends search) raises `BudgetExceeded` before it starts when
     2^k passes `MAX_EVALUATIONS`.  Several modes of one analysis pass
-    the same ``_context``, built on the same ``m``, ``tr`` and ``asg``
-    after the error-trace check; without one, a call makes its own."""
+    the same ``_context``, built by `_analysis` on the same ``m``, ``tr``
+    and ``asg``; without one, a call makes its own."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if quantifier not in QUANTIFIERS:
         raise ValueError(f"quantifier must be one of {QUANTIFIERS}")
-    ctx = _context
-    if ctx is None:
-        _check_error_trace(m, tr)
-        ctx = _Context(m, tr, asg)
+    ctx = _context or _analysis(m, tr, asg)
     for c in m.components:
         ctx.asg.cf_kind(c.name)  # fail early on incomplete assignments
 
@@ -399,9 +389,8 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
         universe = sorted(ctx.violation.faulty_names)
     k = len(universe)
 
-    monotone = False
-    if prune and (mode == "mitigation" or quantifier == "existential"):
-        monotone = ctx.monotone
+    monotone = ((mode == "mitigation" or quantifier == "existential")
+                and ctx.monotone)
 
     effective_quantifier = quantifier if mode == "manifestation" else None
     # Only minimal sets of an upward-closed predicate are wanted: skip
@@ -465,8 +454,7 @@ def enumerate_causal_sets(m: SystemModel, tr: Trace, mode: str,
                           asg: Optional[ModelAssignment] = None,
                           quantifier: str = "existential",
                           minimal_only: bool = False,
-                          allow_nonfaulty: bool = False,
-                          prune: bool = True) -> CauseReport:
+                          allow_nonfaulty: bool = False) -> CauseReport:
     """Decide the mode predicate on every subset of the candidate universe
     (the locally faulty components, unless ``allow_nonfaulty``) and report
     the satisfying sets and their minimal antichain, verdicts in
@@ -479,8 +467,8 @@ def enumerate_causal_sets(m: SystemModel, tr: Trace, mode: str,
     visited from both ends, two levels at a time (sizes 0, 1, k, k-1, 2,
     3, k-2, ...), and a set is evaluated only when no earlier verdict
     decides it: a superset of a satisfying set is not minimal, a subset of
-    a failing set fails.  ``prune=False`` forces the exhaustive loop; the
-    report is the same either way."""
+    a failing set fails.  The report equals the exhaustive run's, cut
+    down to the minimal sets."""
     report, _ = enumerate_with_stats(m, tr, mode, asg, quantifier,
-                                     minimal_only, allow_nonfaulty, prune)
+                                     minimal_only, allow_nonfaulty)
     return report

@@ -9,11 +9,13 @@ components are locally faulty.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
 from tracecause.automata import SafetyAutomaton, Trace
+from tracecause.engine import CauseReport
 from tracecause.guards import TRUE, Not, Var
 from tracecause.model import parse_trace, system_from_dict
 
@@ -46,6 +48,16 @@ def always_zero(var: str, scope=None) -> SafetyAutomaton:
         "g": [(Not(Var(var)), "g"), (Var(var), "b")],
         "b": [(TRUE, "b")],
     })
+
+
+def cut_to_minimal(report: CauseReport) -> CauseReport:
+    """The report of a ``minimal_only`` run, cut down from the report of
+    the same run without it: no list of satisfying sets, and only the
+    verdicts of the minimal sets."""
+    minimal = set(report.minimal)
+    return dataclasses.replace(
+        report, minimal_only=True, all_satisfying=None,
+        verdicts=tuple(e for e in report.verdicts if e[0] in minimal))
 
 
 @pytest.fixture

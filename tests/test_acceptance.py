@@ -21,7 +21,7 @@ from tracecause.model import (faulty_components, parse_system,
                               serialize_system, system_from_dict,
                               validate_system, violates_global)
 
-from conftest import ab_doc
+from conftest import ab_doc, cut_to_minimal
 from oracle import (all_valuations, literal_manifests, literal_mitigates,
                     literal_operand_member, oracle_accepts, oracle_manifests,
                     oracle_mitigates, oracle_step, oracle_vacuous,
@@ -204,11 +204,10 @@ def test_acceptance_4_monotonicity_and_pruning():
         if checked % 5 == 0:
             for minimal_only in (False, True):
                 pruned = enumerate_with_stats(
-                    m, tr, "mitigation", asg, minimal_only=minimal_only,
-                    prune=True)[0]
-                plain = enumerate_with_stats(
-                    m, tr, "mitigation", asg, minimal_only=minimal_only,
-                    prune=False)[0]
+                    m, tr, "mitigation", asg, minimal_only=minimal_only)[0]
+                plain = enumerate_with_stats(m, tr, "mitigation", asg)[0]
+                if minimal_only:
+                    plain = cut_to_minimal(plain)
                 if pruned.to_dict() != plain.to_dict():
                     failures.append(f"pruned report differs (instance {checked})")
     if checked < 500:
@@ -346,7 +345,7 @@ def test_acceptance_7_complexity_sanity(tmp_path, capsys):
         failures.append("benchmark should have k=4 faulty components")
 
     for mode in ("mitigation", "manifestation"):
-        report, stats = enumerate_with_stats(m, tr, mode, prune=False,
+        report, stats = enumerate_with_stats(m, tr, mode,
                                              quantifier="universal")
         if stats.evaluated != 2 ** n or stats.pruned != 0:
             failures.append(f"{mode}: evaluated {stats.evaluated} != 2^{n}")
