@@ -19,7 +19,7 @@ from .automata import (ContainmentResult, Diagnostic, RunResult,
 from .counterfactual import (ComponentKinds, FaultModelKind, ModelAssignment,
                              build_fault_model, longest_correct_prefix)
 from .engine import (CandidateSet, CauseReport, ComplexityNote,
-                     EnumerationStats, OperandStats, Verdict,
+                     EnumerationStats, Verdict,
                      enumerate_causal_sets, enumerate_with_stats,
                      manifestation_operand, manifests, minimal_antichain,
                      mitigates, mitigation_operand)

@@ -673,15 +673,10 @@ def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
     its first empty layer), and the first state of layer ``h`` is spelled
     back to the initial state (`_spell`).  All h + 1 layers are kept, so
     the horizon should be modest (it is the error-trace length in
-    practice).  Where no step is taken (a bad initial state, or h = 0),
-    no transition table is built.
+    practice).
     """
     if h < 0:
         raise ValueError("length must be nonnegative")
-    if a.initial in a.bad:
-        return None
-    if h == 0:
-        return Trace(())
     table = a.transition_table(a.vars)
     layers = list(islice(takewhile(bool, _layers(
         a.initial, table.__getitem__, a.bad.intersection)), h + 1))

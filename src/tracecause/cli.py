@@ -13,7 +13,8 @@ many variables, or too many candidate sets for the exhaustive search);
 3 no causal set; 4 the trace does not violate the global spec.  Each
 refusal maps to its code through `_REFUSALS`.  Reports go to stdout,
 diagnostics to stderr; all output is byte-deterministic for identical
-inputs.
+inputs.  An ``analyze`` report depends only on the languages involved;
+operand product sizes are work counters, reported by ``stats`` only.
 
 `main(argv)` may be called any number of times in one process: the
 argument parser is built on the first call and reused, and no call
@@ -44,7 +45,7 @@ from .model import SystemModel, parse_system, parse_trace, validate_system
 from .model import (  # noqa: F401  (rebound by bench/tracing.py)
     faulty_components, violates_global)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _ROLES = {"mitigation": "mitigating (necessary-style)",
           "manifestation": "manifesting (sufficient-style)"}
@@ -195,13 +196,11 @@ def _report_lines(report: CauseReport) -> list[str]:
     witnesses = []
     for cs, v in report.verdicts:
         rows.append([str(cs), "yes" if v.holds else "no",
-                     "yes" if v.vacuous else "no",
-                     str(v.operand_stats.states), str(v.operand_stats.edges)])
+                     "yes" if v.vacuous else "no"])
         if v.witness is not None:
             witnesses.append(f"witness {cs}: {_witness_text(v.witness)}")
     if rows:
-        lines.extend(_table(["set", "holds", "vacuous", "states", "edges"],
-                            rows))
+        lines.extend(_table(["set", "holds", "vacuous"], rows))
     lines.extend(witnesses)
     for note in report.notes:
         lines.append(f"note: {note}")

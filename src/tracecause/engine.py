@@ -44,7 +44,8 @@ from .automata import (SafetyAutomaton, Trace, contains,
                        has_trace_of_length, product)
 from .counterfactual import FaultModelKind, ModelAssignment, build_fault_model
 from .errors import BudgetExceeded, NotAnErrorTrace, UnknownComponent
-from .model import SystemModel, faulty_components, project_trace
+from .model import (SystemModel, ViolationReport, faulty_components,
+                    project_trace)
 from .model import violates_global  # noqa: F401  (rebound by bench/tracing.py)
 
 MODES = ("mitigation", "manifestation")
@@ -89,13 +90,6 @@ Candidates = Union[CandidateSet, Iterable[str]]
 
 
 @dataclass(frozen=True)
-class OperandStats:
-    """Size of the constructed operand product."""
-    states: int
-    edges: int
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of one mitigation/manifestation query.
 
@@ -109,7 +103,6 @@ class Verdict:
     holds: bool
     witness: Optional[Trace]
     vacuous: bool
-    operand_stats: OperandStats
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,10 @@ class ComplexityNote:
 @dataclass(frozen=True)
 class CauseReport:
     """Everything a causality query reports; byte-deterministic via
-    `to_dict`.  Work counters live outside (in `EnumerationStats`) so that
-    pruned and unpruned runs produce identical reports."""
+    `to_dict`.  Work counters, operand product sizes among them, live
+    outside (in `EnumerationStats`), so that pruned and unpruned runs
+    report identically and the report depends only on the languages
+    involved, not on how each operand was built."""
     mode: str
     quantifier: Optional[str]
     assignment: dict
@@ -164,8 +159,6 @@ class CauseReport:
                     "holds": v.holds,
                     "vacuous": v.vacuous,
                     "witness": _trace_to_jsonable(v.witness),
-                    "operand_states": v.operand_stats.states,
-                    "operand_edges": v.operand_stats.edges,
                 }
                 for cs, v in self.verdicts
             ],
@@ -200,16 +193,18 @@ def _normalize_members(m: SystemModel, d: Candidates) -> frozenset[str]:
 class _Context:
     """What every mode of one analysis of ``tr`` shares, each part
     computed at most once: the assignment (the defaults when none is
-    given), the `faulty_components` report, one fault-model factor per
-    (component, kind) and whether the assignment is monotone.  The
-    factors keep the edge rows and transition tables they cache; no
-    operand product is kept.  Analyses build one through `_analysis`."""
+    given), the `faulty_components` report ``violation``, one fault-model
+    factor per (component, kind) and whether the assignment is monotone.
+    The factors keep the edge rows and transition tables they cache; no
+    operand product is kept.  Analyses build one through `_analysis`,
+    which hands in the report; the operand builders need none."""
 
     def __init__(self, m: SystemModel, tr: Trace,
-                 asg: Optional[ModelAssignment] = None):
+                 asg: Optional[ModelAssignment] = None,
+                 violation: Optional[ViolationReport] = None):
         self.m, self.tr = m, tr
         self.asg = asg or ModelAssignment.defaults(m)
-        self.violation = faulty_components(m, tr)
+        self.violation = violation
         self._factors: dict = {}
         self._monotone: Optional[bool] = None
 
@@ -252,10 +247,10 @@ def _analysis(m: SystemModel, tr: Trace,
     """The context of an analysis of ``tr``; raises `NotAnErrorTrace`
     unless its `faulty_components` report has ``tr`` violate the global
     spec.  Every analysis decides that here, and only here."""
-    ctx = _Context(m, tr, asg)
-    if ctx.violation.global_violation_index is None:
+    violation = faulty_components(m, tr)
+    if violation.global_violation_index is None:
         raise NotAnErrorTrace("the global spec accepts it")
-    return ctx
+    return _Context(m, tr, asg, violation)
 
 
 def _operand(m: SystemModel, tr: Trace, d: Candidates,
@@ -285,7 +280,6 @@ def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
               quantifier: Optional[str]) -> tuple[Verdict, SetMetrics]:
     factors = ctx.factors(members, mode == "mitigation")
     operand = product(factors)
-    stats = OperandStats(operand.state_count, operand.edge_count)
     bound = prod(a.state_count for a in factors)
     h = len(ctx.tr)
     pairs = 0
@@ -295,20 +289,20 @@ def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
         res = contains(operand, ctx.m.global_spec)
         pairs, depth = res.pairs_explored, res.bfs_depth
         verdict = Verdict(res.holds == (mode == "mitigation"), res.witness,
-                          not has_trace_of_length(operand, h), stats)
+                          not has_trace_of_length(operand, h))
     else:
         # One walk to the horizon decides realizability and gives the
         # witness a holding verdict reports.
         witness = find_trace_of_length(operand, h)
         if witness is None:
-            verdict = Verdict(False, None, True, stats)
+            verdict = Verdict(False, None, True)
         else:
             holds = not has_joint_trace_of_length(operand, ctx.m.global_spec,
                                                   h)
-            verdict = Verdict(holds, witness if holds else None, False, stats)
+            verdict = Verdict(holds, witness if holds else None, False)
             depth = h
-    metrics = SetMetrics(tuple(sorted(members)), stats.states, stats.edges,
-                         bound, pairs, depth)
+    metrics = SetMetrics(tuple(sorted(members)), operand.state_count,
+                         operand.edge_count, bound, pairs, depth)
     return verdict, metrics
 
 

@@ -5,7 +5,9 @@ pointers and a depth per pair for `contains`, per-layer parent dicts for
 `find_trace_of_length`, and a frozenset frontier with a repeated-layer
 stop for the two horizon questions.  The package's single layered walk
 and backward speller must give exactly their results, counters and
-witnesses included.
+witnesses included.  Like the horizon questions, `find_trace_of_length`
+builds the transition table before anything else, so an incomplete
+automaton raises for every length, 0 included.
 """
 
 from __future__ import annotations
@@ -91,11 +93,11 @@ def has_joint_trace_of_length(a: SafetyAutomaton, b: SafetyAutomaton,
 def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
     if h < 0:
         raise ValueError("length must be nonnegative")
+    table = a.transition_table(a.vars)
     if a.initial in a.bad:
         return None
     if h == 0:
         return Trace(())
-    table = a.transition_table(a.vars)
     layers = [{a.initial: None}]
     for _ in range(h):
         cur = {}

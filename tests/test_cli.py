@@ -56,7 +56,7 @@ def test_validate_json_ok(capsys, ab_files):
     code, out, _ = run_cli(capsys, "validate", system, "--json")
     doc = json.loads(out)
     assert code == 0
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["status"] == "ok"
     assert doc["diagnostics"] == []
 
@@ -238,7 +238,7 @@ def test_analyze_both_modes_json(capsys, ab_files):
     code, out, _ = run_cli(capsys, "analyze", system, trace, "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["violation"]["global_violation_index"] == 0
     assert [f["component"] for f in doc["violation"]["faulty"]] == ["A", "B"]
     assert [a["mode"] for a in doc["analyses"]] == ["mitigation",
@@ -466,7 +466,7 @@ ERROR_PATHS = [
 
 _DIAGNOSTICS_JSON = """\
 {{
-  "schema_version": 1,
+  "schema_version": 2,
   "command": "validate",
   "status": "invalid",
   "diagnostics": [

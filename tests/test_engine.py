@@ -291,11 +291,32 @@ def test_minimal_antichain_examples():
         ("A", "B"), ("A", "C"), ("B", "C")]
 
 
-def test_verdict_operand_stats_are_product_sizes(ab_model, tr):
-    v = mitigates(ab_model, tr, ["B"])
-    op = mitigation_operand(ab_model, tr, ["B"])
-    assert v.operand_stats.states == op.state_count
-    assert v.operand_stats.edges == op.edge_count
+def test_stats_operand_sizes_are_product_sizes(ab_model, tr):
+    for mode, operand in zip(MODES, (mitigation_operand,
+                                     manifestation_operand)):
+        _, stats = enumerate_with_stats(ab_model, tr, mode)
+        assert len(stats.per_set) == 4
+        for row in stats.per_set:
+            op = operand(ab_model, tr, row.members)
+            assert (row.operand_states, row.operand_edges) == \
+                (op.state_count, op.edge_count)
+
+
+def test_operand_builders_run_no_faulty_components(ab_model, tr,
+                                                    monkeypatch):
+    calls = []
+    real = engine.faulty_components
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "faulty_components", counting)
+    for operand in (mitigation_operand, manifestation_operand):
+        operand(ab_model, tr, ["B"])
+    assert calls == []
+    mitigates(ab_model, tr, ["B"])
+    assert len(calls) == 1
 
 
 def test_three_faulty_components_unpruned_is_eight_subsets():

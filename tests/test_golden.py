@@ -4,7 +4,9 @@
 randsys systems that pass `validate`, the exit code, stderr and stdout of
 `analyze` and `stats` (text and ``--json``) under four flag sets.  Each
 case is replayed through `tracecause.cli.main` and must match byte for
-byte: verdicts, witnesses, operand state/edge counts and report layout.
+byte: verdicts, witnesses, the work counters of `stats` (operand
+state/edge counts among them; `analyze` reports none since schema 2)
+and report layout.
 Text reports are stored verbatim; ``--json`` reports, which repeat the
 same facts at four times the size, by their SHA-256 digest.
 
