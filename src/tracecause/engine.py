@@ -27,9 +27,10 @@ size-then-lexicographic order so reports are byte-reproducible.
 
 The modes of one analysis share one `_Context` (see `_analysis`): the
 faulty-components report, one fault-model factor per (component, kind)
-with the edge rows and transition tables it caches, and the monotonicity
-verdict of the assignment are each computed once, however many modes
-run.  Each evaluation still builds its own operand product.
+with the edge rows and transition tables it caches, the monotonicity
+verdict of the assignment, and the answer to each distinct operand
+question (see `_evaluate`) are each computed once, however many modes
+run.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ MODES = ("mitigation", "manifestation")
 QUANTIFIERS = ("existential", "universal")
 
 MAX_EVALUATIONS = 4096
-"""Most candidate sets the exhaustive subset loop may evaluate.  Each
-evaluation builds a product of every component's fault model, so a
-larger universe (2^k > 4096, that is k > 12 candidates) is refused
-(`BudgetExceeded`) before the first one; the both-ends search of
-``minimal_only`` under a monotone assignment is not bounded by it."""
+"""Most candidate sets the exhaustive subset loop may evaluate.  An
+evaluation whose operand question is new builds a product of every
+component's fault model, so a larger universe (2^k > 4096, that is
+k > 12 candidates) is refused (`BudgetExceeded`) before the first one;
+the both-ends search of ``minimal_only`` under a monotone assignment is
+not bounded by it."""
 
 
 @dataclass(frozen=True)
@@ -194,10 +196,13 @@ class _Context:
     """What every mode of one analysis of ``tr`` shares, each part
     computed at most once: the assignment (the defaults when none is
     given), the `faulty_components` report ``violation``, one fault-model
-    factor per (component, kind) and whether the assignment is monotone.
-    The factors keep the edge rows and transition tables they cache; no
-    operand product is kept.  Analyses build one through `_analysis`,
-    which hands in the report; the operand builders need none."""
+    factor per (component, kind), whether the assignment is monotone, and
+    ``answers``: the verdict and `SetMetrics` sizes of each operand
+    question decided so far, keyed by the tuple of factor kinds and the
+    question (see `_evaluate`).  The factors keep the edge rows and
+    transition tables they cache; no operand product is kept.  Analyses
+    build one through `_analysis`, which hands in the report; the operand
+    builders need none."""
 
     def __init__(self, m: SystemModel, tr: Trace,
                  asg: Optional[ModelAssignment] = None,
@@ -206,6 +211,7 @@ class _Context:
         self.asg = asg or ModelAssignment.defaults(m)
         self.violation = violation
         self._factors: dict = {}
+        self.answers: dict = {}
         self._monotone: Optional[bool] = None
 
     @property
@@ -230,16 +236,21 @@ class _Context:
                 kind, c, project_trace(self.tr, c), len(self.tr))
         return a
 
-    def factors(self, members: frozenset[str],
-                corrected_in_set: bool) -> list[SafetyAutomaton]:
-        """One factor per component: its counterfactual kind where its
-        membership in ``members`` equals ``corrected_in_set``, its fault
-        kind elsewhere."""
+    def kinds(self, members: frozenset[str],
+              corrected_in_set: bool) -> tuple[FaultModelKind, ...]:
+        """One factor kind per component: its counterfactual kind where
+        its membership in ``members`` equals ``corrected_in_set``, its
+        fault kind elsewhere."""
         asg = self.asg
-        return [self.factor(c, asg.cf_kind(c.name)
-                            if (c.name in members) == corrected_in_set
-                            else asg.fault_kind(c.name))
-                for c in self.m.components]
+        return tuple(asg.cf_kind(c.name)
+                     if (c.name in members) == corrected_in_set
+                     else asg.fault_kind(c.name)
+                     for c in self.m.components)
+
+    def factors(self, kinds: tuple[FaultModelKind, ...]
+                ) -> list[SafetyAutomaton]:
+        return [self.factor(c, kind)
+                for c, kind in zip(self.m.components, kinds)]
 
 
 def _analysis(m: SystemModel, tr: Trace,
@@ -257,7 +268,8 @@ def _operand(m: SystemModel, tr: Trace, d: Candidates,
              asg: Optional[ModelAssignment],
              corrected_in_set: bool) -> SafetyAutomaton:
     members = _normalize_members(m, d)
-    return product(_Context(m, tr, asg).factors(members, corrected_in_set))
+    ctx = _Context(m, tr, asg)
+    return product(ctx.factors(ctx.kinds(members, corrected_in_set)))
 
 
 def mitigation_operand(m: SystemModel, tr: Trace, d: Candidates,
@@ -276,19 +288,23 @@ def manifestation_operand(m: SystemModel, tr: Trace, d: Candidates,
     return _operand(m, tr, d, asg, False)
 
 
-def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
-              quantifier: Optional[str]) -> tuple[Verdict, SetMetrics]:
-    factors = ctx.factors(members, mode == "mitigation")
+def _decide(ctx: _Context, kinds: tuple[FaultModelKind, ...],
+            contained: bool) -> tuple[Verdict, tuple[int, ...]]:
+    """Build the operand of the factor ``kinds`` and answer one question
+    of it: with ``contained``, whether its language lies inside the
+    global spec's (``holds``, as mitigation reads it), else universal
+    manifestation at the error-trace length.  Returns the verdict and the
+    sizes of its `SetMetrics` row."""
+    factors = ctx.factors(kinds)
     operand = product(factors)
-    bound = prod(a.state_count for a in factors)
     h = len(ctx.tr)
     pairs = 0
     depth = 0
-    if mode == "mitigation" or quantifier == "existential":
+    if contained:
         # A containment witness exists exactly when containment fails.
         res = contains(operand, ctx.m.global_spec)
         pairs, depth = res.pairs_explored, res.bfs_depth
-        verdict = Verdict(res.holds == (mode == "mitigation"), res.witness,
+        verdict = Verdict(res.holds, res.witness,
                           not has_trace_of_length(operand, h))
     else:
         # One walk to the horizon decides realizability and gives the
@@ -301,9 +317,26 @@ def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
                                                   h)
             verdict = Verdict(holds, witness if holds else None, False)
             depth = h
-    metrics = SetMetrics(tuple(sorted(members)), operand.state_count,
-                         operand.edge_count, bound, pairs, depth)
-    return verdict, metrics
+    return verdict, (operand.state_count, operand.edge_count,
+                     prod(a.state_count for a in factors), pairs, depth)
+
+
+def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
+              quantifier: Optional[str]) -> tuple[Verdict, SetMetrics]:
+    # An operand is fixed by its factor kinds.  Mitigation and existential
+    # manifestation ask it the same containment question with opposite
+    # signs, so manifestation of E shares its answer with mitigation of
+    # the components outside E, and so do two sets that differ only in a
+    # component whose counterfactual kind equals its fault kind.
+    contained = mode == "mitigation" or quantifier == "existential"
+    key = (ctx.kinds(members, mode == "mitigation"), contained)
+    answer = ctx.answers.get(key)
+    if answer is None:
+        answer = ctx.answers[key] = _decide(ctx, *key)
+    verdict, sizes = answer
+    if mode == "manifestation" and contained:
+        verdict = Verdict(not verdict.holds, verdict.witness, verdict.vacuous)
+    return verdict, SetMetrics(tuple(sorted(members)), *sizes)
 
 
 def mitigates(m: SystemModel, tr: Trace, d: Candidates,

@@ -19,22 +19,7 @@ from tracecause.engine import CauseReport
 from tracecause.guards import TRUE, Not, Var
 from tracecause.model import parse_trace, system_from_dict
 
-FIXTURE_AB = {
-    "variables": [
-        {"name": "x", "owner": "A"},
-        {"name": "y", "owner": "B"},
-    ],
-    "components": [
-        {"name": "A", "inputs": [], "outputs": ["x"],
-         "spec": {"states": ["g"], "initial": "g", "bad": [],
-                  "edges": [{"from": "g", "guard": "!x", "to": "g"}]}},
-        {"name": "B", "inputs": ["x"], "outputs": ["y"],
-         "spec": {"states": ["g"], "initial": "g", "bad": [],
-                  "edges": [{"from": "g", "guard": "!y", "to": "g"}]}},
-    ],
-    "global_spec": {"states": ["g"], "initial": "g", "bad": [],
-                    "edges": [{"from": "g", "guard": "!y", "to": "g"}]},
-}
+from ab_fixture import FIXTURE_AB
 
 
 def ab_doc() -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -527,3 +529,105 @@ def test_one_invocation_builds_each_factor_once(capsys, monkeypatch,
         capsys.readouterr()
         assert builds and set(builds.values()) == {1}
         assert calls == Counter(faulty_components=1)
+
+
+# ---------------------------------------------------------------------------
+# one answer per distinct operand question
+
+ANALYSIS_FLAGS = [{}, {"allow_nonfaulty": True}, {"minimal_only": True}]
+
+
+def random_analyses(rng, n):
+    """Seeded random systems and error traces with a random assignment."""
+    found = 0
+    while found < n:
+        m = random_system(rng, max_components=4, max_good=2)
+        tr = random_error_trace(rng, m)
+        if tr is not None:
+            found += 1
+            yield m, tr, random_assignment(rng, m)
+
+
+def test_shared_answers_equal_fresh_contexts(monkeypatch):
+    # Every run on one system shares one context, so answers cross modes,
+    # quantifiers and flag sets; the reference decides each candidate set
+    # on a context of its own.
+    real_evaluate = engine._evaluate
+    real_product = engine.product
+    builds = Counter()
+
+    def counting_product(factors):
+        builds["product"] += 1
+        return real_product(factors)
+
+    def fresh_evaluate(ctx, *args):
+        fresh = _Context(ctx.m, ctx.tr, ctx.asg, ctx.violation)
+        return real_evaluate(fresh, *args)
+
+    monkeypatch.setattr(engine, "product", counting_product)
+    for m, tr, asg in random_analyses(random.Random(12), 60):
+        ctx = engine._analysis(m, tr, asg)
+        for mode in MODES:
+            for quantifier in ("existential", "universal"):
+                for flags in ANALYSIS_FLAGS:
+                    kw = dict(quantifier=quantifier, **flags)
+                    shared = enumerate_with_stats(m, tr, mode, asg,
+                                                  _context=ctx, **kw)
+                    builds["evaluated"] += shared[1].evaluated
+                    with monkeypatch.context() as fresh:
+                        fresh.setattr(engine, "_evaluate", fresh_evaluate)
+                        alone = enumerate_with_stats(m, tr, mode, asg, **kw)
+                    assert shared[0].to_dict() == alone[0].to_dict()
+                    assert shared[1] == alone[1]
+        builds["answers"] += len(ctx.answers)
+    # The fresh runs build one product per evaluation, the shared ones one
+    # per distinct question, and most shared evaluations reuse an answer.
+    assert builds["product"] == builds["evaluated"] + builds["answers"]
+    assert 2 * builds["answers"] < builds["evaluated"]
+
+
+def product_calls(monkeypatch, tmp_path, m, tr, *flags):
+    """How many operand products one `analyze --json` call builds."""
+    system = tmp_path / "sys.json"
+    system.write_text(serialize_system(m))
+    trace = tmp_path / "tr.txt"
+    trace.write_text(tr.to_text() + "\n")
+    calls = []
+    real = engine.product
+
+    def counting(factors):
+        calls.append(factors)
+        return real(factors)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "product", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["analyze", str(system), str(trace), "--json",
+                             *flags]) == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_modes_share_containment_operands(monkeypatch, tmp_path, n):
+    # Existential manifestation of E asks mitigation's question of the
+    # components outside E, so both modes build the 2^n operands once.
+    m, tr = independent_family(n)
+    assert product_calls(monkeypatch, tmp_path, m, tr, "--mode", "both",
+                         "--allow-nonfaulty") == 2 ** n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_equal_kinds_share_operands(monkeypatch, tmp_path, n):
+    # With C0 corrected to its own fault kind, D and D | {C0} have the
+    # same operand.
+    m, tr = independent_family(n)
+    assert product_calls(monkeypatch, tmp_path, m, tr, "--mode",
+                         "mitigation", "--cf", "C0=observed-out") == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_universal_shares_nothing_with_containment(monkeypatch, tmp_path, n):
+    m, tr = independent_family(n)
+    assert product_calls(monkeypatch, tmp_path, m, tr, "--mode", "both",
+                         "--allow-nonfaulty", "--quantifier",
+                         "universal") == 2 ** (n + 1)

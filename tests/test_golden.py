@@ -11,7 +11,8 @@ Text reports are stored verbatim; ``--json`` reports, which repeat the
 same facts at four times the size, by their SHA-256 digest.
 
 Regenerate (only when a report change is intended) with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``; that needs no pytest, so
+this module does not import it.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import pytest
-
 from tracecause.cli import main
 
-from conftest import FIXTURE_AB
+from ab_fixture import FIXTURE_AB
 
 DATA = Path(__file__).parent / "data" / "golden.json"
 
@@ -70,7 +69,11 @@ ENTRIES = (json.loads(DATA.read_text(encoding="utf-8"))
            if __name__ != "__main__" else [])
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: e["name"])
+def pytest_generate_tests(metafunc):
+    # pytest's module-level hook: one case per golden entry.
+    metafunc.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])
+
+
 def test_reports_are_byte_identical(tmp_path, entry):
     system = tmp_path / "sys.json"
     system.write_text(json.dumps(entry["system"]), encoding="utf-8")
