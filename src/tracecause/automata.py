@@ -16,9 +16,11 @@ letter's entry at its restriction.  A product never builds guards to
 explore: it combines its members' edge rows and fills its transition
 table as it goes.  Every search is one layered walk over transition
 tables, of states or of pairs of states (`_layers`), and every witness
-is spelled back through its layers (`_spell`); horizon questions build
-no product, even for two automata.  A scope of n variables has 2^n
-letters.
+is spelled back through its layers (`_spell`).  Horizon questions build
+no product, even for two automata, and neither does refinement:
+`contains` of a sequence of automata walks their product on the fly,
+reading its tuples' successors off the members' tables.  A scope of n
+variables has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, takewhile
 from operator import getitem
 from struct import unpack
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional, Union
 
 from .errors import DomainMismatch
 from .guards import (And, Guard, TRUE, canonicalize, guard_mask, guard_text,
@@ -626,7 +628,29 @@ def _spell(layers: list, row, scope: tuple[str, ...]) -> Trace:
     return Trace(reversed(letters))
 
 
-def contains(a: SafetyAutomaton, b: SafetyAutomaton) -> ContainmentResult:
+class _Tuples:
+    """The tuples of the members' states, for a search that walks their
+    product without building it: ``t[q]`` pairs up the successors of
+    tuple ``q`` on each letter of ``scope`` (the row the product's table
+    would hold), and ``q in t`` tells whether a coordinate of ``q`` is
+    bad (whether the product's state is)."""
+
+    __slots__ = ("_tables", "_bads")
+
+    def __init__(self, members: Sequence[SafetyAutomaton],
+                 scope: tuple[str, ...]):
+        self._tables = [m.transition_table(scope) for m in members]
+        self._bads = [m.bad for m in members]
+
+    def __getitem__(self, q: tuple) -> Iterator[tuple]:
+        return zip(*map(getitem, self._tables, q))
+
+    def __contains__(self, q: tuple) -> bool:
+        return any(map(frozenset.__contains__, self._bads, q))
+
+
+def contains(a: Union[SafetyAutomaton, Sequence[SafetyAutomaton]],
+             b: SafetyAutomaton) -> ContainmentResult:
     """Decide L(a) <= L(b) over the union scope by synchronized BFS.
 
     Walks pairs one layer at a time, each pair visited once, to a
@@ -634,15 +658,31 @@ def contains(a: SafetyAutomaton, b: SafetyAutomaton) -> ContainmentResult:
     ``a`` are counted but not expanded: bad states are absorbing, so no
     witness extends them.  The witness is spelled back through the
     expanded layers (`_spell`).
+
+    ``a`` may also be a nonempty sequence of automata, standing for their
+    `product`, which is not built: its states are then tuples of member
+    states, their successors read off the members' transition tables
+    (`_Tuples`), so no tuple with a bad coordinate is expanded, and
+    every field of the result equals that of ``contains(product(a),
+    b)``.  Only an incomplete member differs: it raises, as its table
+    does, even where the product would never reach its missing edge.
     """
-    scope = tuple(sorted(a.var_set | b.var_set))
-    ta, tb = a.transition_table(scope), b.transition_table(scope)
-    bad_a, bad_b = a.bad, b.bad
+    if isinstance(a, SafetyAutomaton):
+        scope = tuple(sorted(a.var_set | b.var_set))
+        start, ta, bad_a = a.initial, a.transition_table(scope), a.bad
+    else:
+        members = tuple(a)
+        if not members:
+            raise ValueError("product of zero automata is undefined")
+        scope = tuple(sorted(b.var_set.union(*(m.vars for m in members))))
+        start = tuple(m.initial for m in members)
+        ta = bad_a = _Tuples(members, scope)
+    tb, bad_b = b.transition_table(scope), b.bad
 
     def row(p):
         return list(zip(ta[p[0]], tb[p[1]]))
 
-    seen = {(a.initial, b.initial)}
+    seen = {(start, b.initial)}
     layer = list(seen)  # the pairs first reached in len(expanded) steps
     expanded: list[list] = []  # the pairs expanded at each smaller depth
     while layer:

@@ -21,8 +21,8 @@ argument parser is built on the first call and reused, and no call
 leaves state behind for the next.  Within one ``analyze`` or ``stats``
 call the requested modes share one engine context, so the faulty
 components (which decide the error-trace check), the fault-model
-factors and the monotonicity verdict are each computed once (see
-`engine`).
+factors and the monotonicity verdict are each computed at most once
+(see `engine`); only ``stats`` and ``--minimal-only`` need the last.
 """
 
 from __future__ import annotations

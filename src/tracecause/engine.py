@@ -28,14 +28,15 @@ size-then-lexicographic order so reports are byte-reproducible.
 The modes of one analysis share one `_Context` (see `_analysis`): the
 faulty-components report, one fault-model factor per (component, kind)
 with the edge rows and transition tables it caches, the monotonicity
-verdict of the assignment, and the answer to each distinct operand
-question (see `_evaluate`) are each computed once, however many modes
-run.
+verdict of the assignment (only where the both-ends search or the
+``stats`` report reads it), and the answer to each distinct operand
+question (see `_evaluate`) are each computed at most once, however many
+modes run.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import prod
 from typing import Iterable, Optional, Union
@@ -171,10 +172,22 @@ class CauseReport:
 
 @dataclass(frozen=True)
 class EnumerationStats:
+    """Work counters of one enumeration.  ``monotone_pruning`` tells
+    whether the predicate is upward-closed, so that the both-ends search
+    may prune: the mode is mitigation or existential manifestation (the
+    two that keep the analysis ``_context``) and the assignment is
+    monotone.  The latter takes one `contains` per component, so it is
+    decided on first read (`_Context.monotone`); an ``analyze`` without
+    ``--minimal-only`` never reads it."""
     evaluated: int
     pruned: int
-    monotone_pruning: bool
     per_set: tuple[SetMetrics, ...]
+    _context: Optional[_Context] = field(default=None, repr=False,
+                                         compare=False)
+
+    @property
+    def monotone_pruning(self) -> bool:
+        return self._context is not None and self._context.monotone
 
 
 def _trace_to_jsonable(t: Optional[Trace]):
@@ -416,13 +429,14 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
         universe = sorted(ctx.violation.faulty_names)
     k = len(universe)
 
-    monotone = ((mode == "mitigation" or quantifier == "existential")
-                and ctx.monotone)
+    # Mitigation and existential manifestation are upward-closed under a
+    # monotone assignment.
+    upward = mode == "mitigation" or quantifier == "existential"
 
     effective_quantifier = quantifier if mode == "manifestation" else None
     # Only minimal sets of an upward-closed predicate are wanted: skip
     # every set an earlier verdict decides (see `enumerate_causal_sets`).
-    search = minimal_only and monotone
+    search = minimal_only and upward and ctx.monotone
     if not search and 2 ** k > MAX_EVALUATIONS:
         raise BudgetExceeded("candidate sets to evaluate", 2 ** k,
                              MAX_EVALUATIONS)
@@ -473,7 +487,8 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
         notes=notes,
         complexity=ComplexityNote(k, 2 ** k, len(m.components)),
     )
-    stats = EnumerationStats(evaluated, pruned, monotone, tuple(rows))
+    stats = EnumerationStats(evaluated, pruned, tuple(rows),
+                             ctx if upward else None)
     return report, stats
 
 

@@ -22,7 +22,8 @@ from tracecause.model import project_trace
 
 import search_reference
 from conftest import always_zero
-from oracle import all_traces, all_valuations, oracle_accepts, oracle_step
+from oracle import (all_traces, all_valuations, oracle_accepts, oracle_step,
+                    restrict)
 from randsys import (random_assignment, random_automaton, random_error_trace,
                      random_system, random_trace)
 
@@ -525,6 +526,61 @@ def test_joint_horizon_builds_no_product(monkeypatch):
         for h in HORIZONS:
             has_joint_trace_of_length(a, b, h)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# containment of a product that is not built
+
+def refinement_cases(n):
+    """(component specs, global spec) of ``n`` seeded randsys systems,
+    every other one built so that refinement holds."""
+    rng = random.Random(41)
+    for i in range(n):
+        m = random_system(rng, refinement_holds=i % 2 == 0)
+        yield [c.spec for c in m.components], m.global_spec
+
+
+def raw_member_cases(n):
+    """One to three members and a right-hand side whose bad states need
+    not absorb (the initial state may be bad)."""
+    rng = random.Random(42)
+    scopes = [["u"], ["v"], ["u", "v"], ["v", "w"]]
+    for _ in range(n):
+        members = [random_raw_automaton(rng, rng.choice(scopes))
+                   for _ in range(rng.randint(1, 3))]
+        yield members, random_raw_automaton(rng, rng.choice(scopes))
+
+
+def test_member_containment_equals_product_containment():
+    """Every `ContainmentResult` field of the search over the members'
+    tuples equals that of the search over their built product."""
+    holds = []
+    for members, b in [*refinement_cases(60), *raw_member_cases(80)]:
+        got = contains(members, b)
+        assert got == contains(product(members), b)
+        holds.append(got.holds)
+    # The refinement half all hold; the rest mix both answers.
+    assert all(holds[:60:2])
+    assert {True, False} <= set(holds[1:60:2]) and {True, False} <= set(holds[60:])
+    with pytest.raises(ValueError):
+        contains([], b)
+
+
+def test_member_containment_witness_is_a_refinement_counterexample():
+    """Each witness is a composed behavior the global spec rejects: every
+    member accepts its projection (read by the oracle's own walker)."""
+    witnesses = 0
+    for specs, theta in refinement_cases(60):
+        res = contains(specs, theta)
+        if res.holds:
+            continue
+        letters = [dict(step.items()) for step in res.witness]
+        for spec in specs:
+            assert oracle_accepts(spec, [restrict(v, spec.vars)
+                                         for v in letters])
+        assert not oracle_accepts(theta, letters)
+        witnesses += 1
+    assert witnesses >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ import pytest
 
 import tracecause
 import tracecause.cli as cli
+import tracecause.engine
+from tracecause.automata import contains
 from tracecause.cli import main
 from tracecause.engine import MAX_EVALUATIONS
 from tracecause.guards import MAX_GUARD_DEPTH
-from tracecause.model import MAX_VARIABLES
+from tracecause.model import MAX_VARIABLES, validate_system
 
 from conftest import ab_doc
 
@@ -80,6 +82,44 @@ def test_validate_refinement_violation_exits_1(capsys, tmp_path):
     assert code == 1
     assert "refinement-violation" in err
     assert "witness" in err
+
+
+_REFINEMENT_STDERR = (
+    "refinement-violation: the composed component specs admit a behavior "
+    "the global spec rejects; witness: x=0 y=1\n")
+
+_REFINEMENT_JSON = """\
+{
+  "schema_version": 2,
+  "command": "validate",
+  "status": "invalid",
+  "diagnostics": [
+    {
+      "kind": "refinement-violation",
+      "subject": "global_spec",
+      "message": "the composed component specs admit a behavior the global spec rejects",
+      "witness": [
+        {
+          "x": 0,
+          "y": 1
+        }
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_validate_refinement_violation_bytes(capsys, tmp_path):
+    doc = ab_doc()
+    doc["components"][1]["spec"]["edges"] = [
+        {"from": "g", "guard": "true", "to": "g"}]
+    doc["global_spec"]["edges"] = [
+        {"from": "g", "guard": "!x & !y", "to": "g"}]
+    path = write_doc(tmp_path, doc)
+    assert run_cli(capsys, "validate", path) == (1, "", _REFINEMENT_STDERR)
+    assert run_cli(capsys, "validate", path, "--json") == (
+        1, _REFINEMENT_JSON, _REFINEMENT_STDERR)
 
 
 def test_validate_malformed_guard_exits_2(capsys, tmp_path):
@@ -352,6 +392,41 @@ def test_stats_text(capsys, ab_files):
     assert code == 0
     assert "worst-case evaluations 4" in out
     assert "subsets: evaluated=4 pruned=0" in out
+
+
+def test_only_stats_and_the_search_check_monotonicity(capsys, monkeypatch,
+                                                     ab_files):
+    """The monotonicity check, one `contains` per component with a fault
+    model on the right, runs where ``monotone_pruning`` is read: for
+    `stats` and for the both-ends search of ``--minimal-only``.  Any
+    other `contains` of an analysis has the global spec on the right."""
+    specs, rights = [], []
+
+    def validating(m):
+        specs.append(m.global_spec)
+        return validate_system(m)
+
+    def counting(a, b):
+        rights.append(b)
+        return contains(a, b)
+
+    monkeypatch.setattr(cli, "validate_system", validating)
+    monkeypatch.setattr(tracecause.engine, "contains", counting)
+    monotone = ["--model", "A=arbitrary", "--model", "B=arbitrary"]
+
+    def calls(command, *flags):
+        """(operand containments, monotonicity checks) of one call."""
+        rights.clear()
+        assert run_cli(capsys, command, *ab_files, *monotone, *flags)[0] == 0
+        operands = sum(b is specs[-1] for b in rights)
+        return operands, len(rights) - operands
+
+    operands, checks = calls("analyze")
+    assert operands > 0 and checks == 0
+    assert calls("stats") == (operands, 2)
+    assert calls("analyze", "--minimal-only")[1] == 2
+    assert calls("stats", "--mode", "manifestation",
+                 "--quantifier", "universal") == (0, 0)
 
 
 def test_stats_json_bounds(capsys, ab_files):

@@ -11,7 +11,7 @@ import tracecause.automata
 import tracecause.guards
 import tracecause.model
 from tracecause.automata import (SafetyAutomaton, Trace, Valuation,
-                                 check_wellformed, run)
+                                 check_wellformed, product, run)
 from tracecause.errors import (DomainMismatch, DuplicateAssignment,
                                MissingVariable, ParseError, SchemaError,
                                UnknownVariable, ValidationError)
@@ -350,6 +350,22 @@ def test_validate_single_component_reflexive():
     m = SystemModel((Component("A", frozenset(), frozenset(["x"]), spec),),
                     always_zero("x"))
     assert validate_system(m) == []
+
+
+def test_validate_builds_no_product(monkeypatch):
+    rng = random.Random(19)
+    systems = [random_system(rng, refinement_holds=i % 2 == 0)
+               for i in range(20)]
+    calls = []
+
+    def counting(auts):
+        calls.append(auts)
+        return product(auts)
+
+    for module in (tracecause.automata, tracecause.model):
+        monkeypatch.setattr(module, "product", counting)
+    assert {bool(validate_system(m)) for m in systems} == {False, True}
+    assert calls == []
 
 
 def test_refinement_implies_global_acceptance_randomized():
