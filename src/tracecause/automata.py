@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from itertools import chain, islice, takewhile
 from operator import getitem
 from struct import unpack
@@ -44,6 +43,7 @@ from .errors import DomainMismatch
 from .guards import (And, Guard, TRUE, canonicalize, guard_mask, guard_text,
                      guard_vars, is_variable_name)
 from .guards import conj, guard_eval  # noqa: F401  (rebound by bench/tracing.py)
+from .records import Record, setfield
 
 State = Hashable
 
@@ -180,38 +180,50 @@ class Trace(Sequence):
         return f"Trace({list(self._steps)!r})"
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """Outcome of running an automaton on a trace.
 
     ``first_violation_index`` is the first 0-based step whose target state
     is bad; it is None exactly when the trace is accepted.
     """
-    accepted: bool
-    first_violation_index: Optional[int] = None
+
+    __slots__ = ("accepted", "first_violation_index")
+
+    def __init__(self, accepted: bool,
+                 first_violation_index: Optional[int] = None):
+        setfield(self, "accepted", accepted)
+        setfield(self, "first_violation_index", first_violation_index)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One wellformedness or validation finding; never an exception."""
-    kind: str
-    subject: str
-    message: str
-    witness: Optional[Trace] = None
+
+    __slots__ = ("kind", "subject", "message", "witness")
+
+    def __init__(self, kind: str, subject: str, message: str,
+                 witness: Optional[Trace] = None):
+        setfield(self, "kind", kind)
+        setfield(self, "subject", subject)
+        setfield(self, "message", message)
+        setfield(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class ContainmentResult:
+class ContainmentResult(Record):
     """Outcome of a language containment check L(a) <= L(b).
 
     When containment fails, ``witness`` is a shortest trace accepted by
     ``a`` and rejected by ``b``.  ``pairs_explored`` and ``bfs_depth``
     describe the synchronized-pair search that decided the question.
     """
-    holds: bool
-    witness: Optional[Trace] = None
-    pairs_explored: int = 0
-    bfs_depth: int = 0
+
+    __slots__ = ("holds", "witness", "pairs_explored", "bfs_depth")
+
+    def __init__(self, holds: bool, witness: Optional[Trace] = None,
+                 pairs_explored: int = 0, bfs_depth: int = 0):
+        setfield(self, "holds", holds)
+        setfield(self, "witness", witness)
+        setfield(self, "pairs_explored", pairs_explored)
+        setfield(self, "bfs_depth", bfs_depth)
 
 
 class SafetyAutomaton:

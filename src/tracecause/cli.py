@@ -31,7 +31,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from typing import Optional
 
 from .automata import Trace
@@ -252,7 +251,7 @@ def cmd_stats(args) -> int:
                 "mode": report.mode,
                 "quantifier": report.quantifier,
                 "candidates": list(report.candidates),
-                "complexity": asdict(report.complexity),
+                "complexity": report.complexity.to_dict(),
                 "subsets": {"evaluated": stats.evaluated,
                             "pruned": stats.pruned,
                             "monotone_pruning": stats.monotone_pruning},

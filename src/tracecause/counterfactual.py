@@ -25,7 +25,6 @@ not in the language.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .automata import (SafetyAutomaton, Trace, product, run,
@@ -33,6 +32,7 @@ from .automata import (SafetyAutomaton, Trace, product, run,
 from .errors import DomainMismatch, HorizonMismatch, UnknownComponent
 from .guards import FALSE, TRUE, cube, negate
 from .model import Component, SystemModel
+from .records import Record, setfield
 
 
 class FaultModelKind(enum.Enum):
@@ -112,22 +112,29 @@ def build_fault_model(kind: FaultModelKind, c: Component, tr_local: Trace,
     raise TypeError(f"not a fault-model kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class ComponentKinds:
+class ComponentKinds(Record):
     """Which language a component contributes when it is inside the
     candidate set (``cf_kind``) versus outside it (``fault_kind``)."""
-    cf_kind: FaultModelKind = FaultModelKind.SPEC
-    fault_kind: FaultModelKind = FaultModelKind.OBSERVED_OUT
+
+    __slots__ = ("cf_kind", "fault_kind")
+
+    def __init__(self, cf_kind: FaultModelKind = FaultModelKind.SPEC,
+                 fault_kind: FaultModelKind = FaultModelKind.OBSERVED_OUT):
+        setfield(self, "cf_kind", cf_kind)
+        setfield(self, "fault_kind", fault_kind)
 
 
-@dataclass(frozen=True)
-class ModelAssignment:
+class ModelAssignment(Record):
     """Per-component kind assignment; heterogeneous by construction.
 
     Defaults match the analysis intent: corrected components behave per
     their spec, uncorrected ones keep their observed output behavior.
     """
-    entries: Mapping[str, ComponentKinds]
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Mapping[str, ComponentKinds]):
+        setfield(self, "entries", entries)
 
     @classmethod
     def defaults(cls, m: SystemModel,

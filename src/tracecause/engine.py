@@ -36,7 +36,6 @@ modes run.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from math import prod
 from typing import Iterable, Optional, Union
@@ -49,6 +48,7 @@ from .errors import BudgetExceeded, NotAnErrorTrace, UnknownComponent
 from .model import (SystemModel, ViolationReport, faulty_components,
                     project_trace)
 from .model import violates_global  # noqa: F401  (rebound by bench/tracing.py)
+from .records import Record, setfield
 
 MODES = ("mitigation", "manifestation")
 QUANTIFIERS = ("existential", "universal")
@@ -62,10 +62,13 @@ the both-ends search of ``minimal_only`` under a monotone assignment is
 not bounded by it."""
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(Record):
     """A set of component names suspected of being liable."""
-    members: frozenset[str]
+
+    __slots__ = ("members",)
+
+    def __init__(self, members: frozenset[str]):
+        setfield(self, "members", members)
 
     @classmethod
     def of(cls, names: Iterable[str]) -> "CandidateSet":
@@ -92,8 +95,7 @@ class CandidateSet:
 Candidates = Union[CandidateSet, Iterable[str]]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one mitigation/manifestation query.
 
     ``witness`` is a trace accepted by the operand and rejected by the
@@ -103,48 +105,77 @@ class Verdict:
     error-trace length; it flips a universal verdict to False and leaves
     the others untouched (their containment answer is genuine).
     """
-    holds: bool
-    witness: Optional[Trace]
-    vacuous: bool
+
+    __slots__ = ("holds", "witness", "vacuous")
+
+    def __init__(self, holds: bool, witness: Optional[Trace], vacuous: bool):
+        setfield(self, "holds", holds)
+        setfield(self, "witness", witness)
+        setfield(self, "vacuous", vacuous)
 
 
-@dataclass(frozen=True)
-class SetMetrics:
+class SetMetrics(Record):
     """Work done for one candidate set (reported by the stats command)."""
-    members: tuple[str, ...]
-    operand_states: int
-    operand_edges: int
-    factor_bound: int
-    pairs_explored: int
-    bfs_depth: int
+
+    __slots__ = ("members", "operand_states", "operand_edges",
+                 "factor_bound", "pairs_explored", "bfs_depth")
+
+    def __init__(self, members: tuple[str, ...], operand_states: int,
+                 operand_edges: int, factor_bound: int, pairs_explored: int,
+                 bfs_depth: int):
+        setfield(self, "members", members)
+        setfield(self, "operand_states", operand_states)
+        setfield(self, "operand_edges", operand_edges)
+        setfield(self, "factor_bound", factor_bound)
+        setfield(self, "pairs_explored", pairs_explored)
+        setfield(self, "bfs_depth", bfs_depth)
 
 
-@dataclass(frozen=True)
-class ComplexityNote:
+class ComplexityNote(Record):
     """Worst-case work of the enumeration: 2^k predicate evaluations, each
     building a product of n component automata."""
-    candidates: int
-    worst_case_evaluations: int
-    components: int
+
+    __slots__ = ("candidates", "worst_case_evaluations", "components")
+
+    def __init__(self, candidates: int, worst_case_evaluations: int,
+                 components: int):
+        setfield(self, "candidates", candidates)
+        setfield(self, "worst_case_evaluations", worst_case_evaluations)
+        setfield(self, "components", components)
+
+    def to_dict(self) -> dict:
+        return {"candidates": self.candidates,
+                "worst_case_evaluations": self.worst_case_evaluations,
+                "components": self.components}
 
 
-@dataclass(frozen=True)
-class CauseReport:
+class CauseReport(Record):
     """Everything a causality query reports; byte-deterministic via
     `to_dict`.  Work counters, operand product sizes among them, live
     outside (in `EnumerationStats`), so that pruned and unpruned runs
     report identically and the report depends only on the languages
     involved, not on how each operand was built."""
-    mode: str
-    quantifier: Optional[str]
-    assignment: dict
-    candidates: tuple[str, ...]
-    minimal_only: bool
-    all_satisfying: Optional[tuple[CandidateSet, ...]]
-    minimal: tuple[CandidateSet, ...]
-    verdicts: tuple[tuple[CandidateSet, Verdict], ...]
-    notes: tuple[str, ...]
-    complexity: ComplexityNote
+
+    __slots__ = ("mode", "quantifier", "assignment", "candidates",
+                 "minimal_only", "all_satisfying", "minimal", "verdicts",
+                 "notes", "complexity")
+
+    def __init__(self, mode: str, quantifier: Optional[str], assignment: dict,
+                 candidates: tuple[str, ...], minimal_only: bool,
+                 all_satisfying: Optional[tuple[CandidateSet, ...]],
+                 minimal: tuple[CandidateSet, ...],
+                 verdicts: tuple[tuple[CandidateSet, Verdict], ...],
+                 notes: tuple[str, ...], complexity: ComplexityNote):
+        setfield(self, "mode", mode)
+        setfield(self, "quantifier", quantifier)
+        setfield(self, "assignment", assignment)
+        setfield(self, "candidates", candidates)
+        setfield(self, "minimal_only", minimal_only)
+        setfield(self, "all_satisfying", all_satisfying)
+        setfield(self, "minimal", minimal)
+        setfield(self, "verdicts", verdicts)
+        setfield(self, "notes", notes)
+        setfield(self, "complexity", complexity)
 
     def to_dict(self) -> dict:
         return {
@@ -166,24 +197,29 @@ class CauseReport:
                 for cs, v in self.verdicts
             ],
             "notes": list(self.notes),
-            "complexity": asdict(self.complexity),
+            "complexity": self.complexity.to_dict(),
         }
 
 
-@dataclass(frozen=True)
-class EnumerationStats:
+class EnumerationStats(Record):
     """Work counters of one enumeration.  ``monotone_pruning`` tells
     whether the predicate is upward-closed, so that the both-ends search
     may prune: the mode is mitigation or existential manifestation (the
     two that keep the analysis ``_context``) and the assignment is
     monotone.  The latter takes one `contains` per component, so it is
     decided on first read (`_Context.monotone`); an ``analyze`` without
-    ``--minimal-only`` never reads it."""
-    evaluated: int
-    pruned: int
-    per_set: tuple[SetMetrics, ...]
-    _context: Optional[_Context] = field(default=None, repr=False,
-                                         compare=False)
+    ``--minimal-only`` never reads it.  The private ``_context`` takes no
+    part in equality, hashing or ``repr``."""
+
+    __slots__ = ("evaluated", "pruned", "per_set", "_context")
+
+    def __init__(self, evaluated: int, pruned: int,
+                 per_set: tuple[SetMetrics, ...],
+                 _context: Optional[_Context] = None):
+        setfield(self, "evaluated", evaluated)
+        setfield(self, "pruned", pruned)
+        setfield(self, "per_set", per_set)
+        setfield(self, "_context", _context)
 
     @property
     def monotone_pruning(self) -> bool:

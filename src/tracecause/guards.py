@@ -20,11 +20,11 @@ which bounds every recursion here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import ParseError, UndeclaredVariable
+from .records import Record, setfield
 
 VAR_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -39,34 +39,45 @@ def is_variable_name(name: str) -> bool:
     return bool(VAR_NAME_RE.match(name)) and name not in _KEYWORDS
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(Record):
     """Base class for guard AST nodes."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Const(Guard):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Guard):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        setfield(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Not(Guard):
-    operand: Guard
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Guard):
+        setfield(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class And(Guard):
-    operands: tuple[Guard, ...]
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple[Guard, ...]):
+        setfield(self, "operands", operands)
 
 
-@dataclass(frozen=True)
 class Or(Guard):
-    operands: tuple[Guard, ...]
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple[Guard, ...]):
+        setfield(self, "operands", operands)
 
 
 TRUE = Const(True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .automata import (Diagnostic, RunResult, SafetyAutomaton, Trace,
@@ -35,6 +34,7 @@ from .guards import (TRUE, Or, canonicalize, guard_text, is_variable_name,
                      negate, scan_guard, scope_atoms)
 from .guards import (  # noqa: F401  (rebound by bench/tracing.py)
     disj, guard_vars, parse_guard, satisfiable)
+from .records import Record, setfield
 
 
 MAX_VARIABLES = 16
@@ -43,16 +43,18 @@ letters, and every automaton state keeps a row over them, so a larger
 system is refused (`BudgetExceeded`) before any guard is evaluated."""
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Record):
     """A named component: disjoint input/output variable sets and a local
     safety spec over their union."""
-    name: str
-    inputs: frozenset[str]
-    outputs: frozenset[str]
-    spec: SafetyAutomaton
 
-    def __post_init__(self):
+    __slots__ = ("name", "inputs", "outputs", "spec")
+
+    def __init__(self, name: str, inputs: frozenset[str],
+                 outputs: frozenset[str], spec: SafetyAutomaton):
+        setfield(self, "name", name)
+        setfield(self, "inputs", inputs)
+        setfield(self, "outputs", outputs)
+        setfield(self, "spec", spec)
         if not is_variable_name(self.name):
             raise ValidationError(f"illegal component name: {self.name!r}")
         overlap = self.inputs & self.outputs
@@ -70,14 +72,16 @@ class Component:
         return self.inputs | self.outputs
 
 
-@dataclass(frozen=True)
-class SystemModel:
+class SystemModel(Record):
     """Components in declaration order plus the global spec over all
     component variables."""
-    components: tuple[Component, ...]
-    global_spec: SafetyAutomaton
 
-    def __post_init__(self):
+    __slots__ = ("components", "global_spec")
+
+    def __init__(self, components: tuple[Component, ...],
+                 global_spec: SafetyAutomaton):
+        setfield(self, "components", components)
+        setfield(self, "global_spec", global_spec)
         if not self.components:
             raise ValidationError("a system needs at least one component")
         names = [c.name for c in self.components]
@@ -118,12 +122,16 @@ class SystemModel:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(Record):
     """Where the global spec rejects, and which components break their own
     specs (with first local violation indices), in component order."""
-    global_violation_index: Optional[int]
-    faulty: tuple[tuple[str, int], ...]
+
+    __slots__ = ("global_violation_index", "faulty")
+
+    def __init__(self, global_violation_index: Optional[int],
+                 faulty: tuple[tuple[str, int], ...]):
+        setfield(self, "global_violation_index", global_violation_index)
+        setfield(self, "faulty", faulty)
 
     @property
     def faulty_names(self) -> tuple[str, ...]:

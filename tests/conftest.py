@@ -9,7 +9,6 @@ components are locally faulty.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 
 import pytest
@@ -40,9 +39,11 @@ def cut_to_minimal(report: CauseReport) -> CauseReport:
     the same run without it: no list of satisfying sets, and only the
     verdicts of the minimal sets."""
     minimal = set(report.minimal)
-    return dataclasses.replace(
-        report, minimal_only=True, all_satisfying=None,
-        verdicts=tuple(e for e in report.verdicts if e[0] in minimal))
+    return CauseReport(
+        report.mode, report.quantifier, report.assignment, report.candidates,
+        minimal_only=True, all_satisfying=None, minimal=report.minimal,
+        verdicts=tuple(e for e in report.verdicts if e[0] in minimal),
+        notes=report.notes, complexity=report.complexity)
 
 
 @pytest.fixture

@@ -24,6 +24,8 @@ from tracecause.model import MAX_VARIABLES, validate_system
 
 from conftest import ab_doc
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def run_cli(capsys, *argv):
     """(exit code, stdout, stderr) of ``main(argv)``, usage errors and
@@ -644,9 +646,51 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# README examples
+# start-up
 
-ROOT = Path(__file__).resolve().parent.parent
+# Modules that only `dataclasses` pulled in; start-up needs none of them.
+UNNEEDED_AT_STARTUP = {"dataclasses", "inspect", "dis", "ast", "tokenize",
+                       "copy"}
+
+STARTUP_PROBE = """\
+import sys
+sys.path.insert(0, {src!r})
+before = set(sys.modules)
+import tracecause.cli
+tracecause.cli.build_parser()
+setup = set(sys.modules)
+codes = [tracecause.cli.main(argv) for argv in {argvs!r}]
+jobs = set(sys.modules)
+import json
+print(json.dumps([sorted(setup - before), sorted(jobs - setup), codes]))
+"""
+
+
+def test_startup_loads_only_what_a_job_needs():
+    # A fresh interpreter without site packages: pytest itself imports
+    # `dataclasses`.  Importing the CLI and building its parser loads no
+    # module a job does not need, and the jobs then load no module at
+    # all, so no import waits in the job path either.
+    data = ROOT / "demos" / "data"
+    system, trace = str(data / "system.json"), str(data / "trace.txt")
+    argvs = [["validate", system],
+             ["analyze", system, trace, "--json"],
+             ["stats", system, trace],
+             ["analyze", system, trace, "--quantifier", "universal",
+              "--minimal-only"]]
+    src = os.path.dirname(os.path.dirname(tracecause.__file__))
+    probe = STARTUP_PROBE.format(src=src, argvs=argvs)
+    done = subprocess.run([sys.executable, "-E", "-s", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    setup, jobs, codes = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert UNNEEDED_AT_STARTUP.isdisjoint(setup), setup
+    assert jobs == []
+
+
+# ---------------------------------------------------------------------------
+# README examples
 
 
 def readme_examples() -> list[tuple[str, str]]:
