@@ -33,11 +33,10 @@ outputs.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, islice, takewhile
 from operator import getitem
 from struct import unpack
-from typing import Hashable, Iterable, Iterator, Optional, Union
 
 from .errors import DomainMismatch
 from .guards import (And, Guard, TRUE, canonicalize, guard_mask, guard_text,
@@ -150,7 +149,7 @@ class Trace(Sequence):
         return self._steps
 
     @property
-    def domain(self) -> Optional[frozenset[str]]:
+    def domain(self) -> frozenset[str] | None:
         return self._steps[0].domain if self._steps else None
 
     def restrict(self, names: Iterable[str]) -> "Trace":
@@ -190,7 +189,7 @@ class RunResult(Record):
     __slots__ = ("accepted", "first_violation_index")
 
     def __init__(self, accepted: bool,
-                 first_violation_index: Optional[int] = None):
+                 first_violation_index: int | None = None):
         setfield(self, "accepted", accepted)
         setfield(self, "first_violation_index", first_violation_index)
 
@@ -201,7 +200,7 @@ class Diagnostic(Record):
     __slots__ = ("kind", "subject", "message", "witness")
 
     def __init__(self, kind: str, subject: str, message: str,
-                 witness: Optional[Trace] = None):
+                 witness: Trace | None = None):
         setfield(self, "kind", kind)
         setfield(self, "subject", subject)
         setfield(self, "message", message)
@@ -218,7 +217,7 @@ class ContainmentResult(Record):
 
     __slots__ = ("holds", "witness", "pairs_explored", "bfs_depth")
 
-    def __init__(self, holds: bool, witness: Optional[Trace] = None,
+    def __init__(self, holds: bool, witness: Trace | None = None,
                  pairs_explored: int = 0, bfs_depth: int = 0):
         setfield(self, "holds", holds)
         setfield(self, "witness", witness)
@@ -252,7 +251,7 @@ class SafetyAutomaton:
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
                  edges: Mapping[State, Iterable[tuple[Guard, State]]],
-                 masks: Optional[Mapping[State, Sequence[int]]] = None):
+                 masks: Mapping[State, Sequence[int]] | None = None):
         var_tuple = tuple(sorted(set(vars)))
         for name in var_tuple:
             if not is_variable_name(name):
@@ -290,10 +289,10 @@ class SafetyAutomaton:
         self.initial = initial
         self.bad = bad_set
         self.edges = normalized
-        self._masks: Optional[dict[State, tuple[int, ...]]] = (
+        self._masks: dict[State, tuple[int, ...]] | None = (
             None if masks is None
             else {q: tuple(masks[q]) for q in state_tuple})
-        self._targets: Optional[dict[State, tuple[State, ...]]] = None
+        self._targets: dict[State, tuple[State, ...]] | None = None
         self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
 
@@ -334,7 +333,7 @@ class SafetyAutomaton:
         return self._targets
 
     def _edge_rows(self, scope: tuple[str, ...]
-                   ) -> dict[State, tuple[Optional[int], ...]]:
+                   ) -> dict[State, tuple[int | None, ...]]:
         """Per state, the index of the edge taken on each letter of the
         sorted ``scope`` (None where no edge is enabled); the first enabled
         edge wins.  Only the rows over ``vars`` read guards; a wider scope
@@ -362,7 +361,7 @@ class SafetyAutomaton:
                            for q in self.states}
         return self._masks
 
-    def _letter_rows(self) -> dict[State, tuple[Optional[int], ...]]:
+    def _letter_rows(self) -> dict[State, tuple[int | None, ...]]:
         """`_edge_rows` over ``vars`` uncached, from the edge masks, in
         time linear in the number of letters: each edge's letters are
         peeled off its mask one 64-bit word at a time (peeling the whole
@@ -371,7 +370,7 @@ class SafetyAutomaton:
         nletters = 1 << len(self.vars)
         rows = {}
         for q in self.states:
-            row: list[Optional[int]] = [None] * nletters
+            row: list[int | None] = [None] * nletters
             free = (1 << nletters) - 1
             for k, m in enumerate(masks[q]):
                 m &= free
@@ -520,7 +519,7 @@ class _Product(SafetyAutomaton):
                              for s, succ in self._succ.items()}
         return self._targets
 
-    def _letter_rows(self) -> dict[State, tuple[Optional[int], ...]]:
+    def _letter_rows(self) -> dict[State, tuple[int | None, ...]]:
         """Edge rows from the members' rows: the edge taken on a letter is
         the rank of the tuple of member edges taken on it."""
         member_rows = [a._edge_rows(self.vars) for a in self._members]
@@ -558,8 +557,8 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     init = tuple(a.initial for a in automata)
     # Reachable states in discovery order, each with its successor per
     # tuple of member edges (None until the state is explored).
-    succ_of: dict[State, Optional[dict]] = {init: None}
-    table: dict[State, tuple[Optional[State], ...]] = {}
+    succ_of: dict[State, dict | None] = {init: None}
+    table: dict[State, tuple[State | None, ...]] = {}
     queue = deque([init])
     while queue:
         s = queue.popleft()
@@ -661,7 +660,7 @@ class _Tuples:
         return any(map(frozenset.__contains__, self._bads, q))
 
 
-def contains(a: Union[SafetyAutomaton, Sequence[SafetyAutomaton]],
+def contains(a: SafetyAutomaton | Sequence[SafetyAutomaton],
              b: SafetyAutomaton) -> ContainmentResult:
     """Decide L(a) <= L(b) over the union scope by synchronized BFS.
 
@@ -718,7 +717,7 @@ def has_trace_of_length(a: SafetyAutomaton, h: int) -> bool:
         _layers(a.initial, table.__getitem__, a.bad.intersection), h)
 
 
-def find_trace_of_length(a: SafetyAutomaton, h: int) -> Optional[Trace]:
+def find_trace_of_length(a: SafetyAutomaton, h: int) -> Trace | None:
     """A deterministic accepted trace of length exactly ``h``, or None.
 
     The layered walk of `has_trace_of_length` runs to layer ``h`` (or to

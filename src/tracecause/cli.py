@@ -13,8 +13,10 @@ many variables, or too many candidate sets for the exhaustive search);
 3 no causal set; 4 the trace does not violate the global spec.  Each
 refusal maps to its code through `_REFUSALS`.  Reports go to stdout,
 diagnostics to stderr; all output is byte-deterministic for identical
-inputs.  An ``analyze`` report depends only on the languages involved;
-operand product sizes are work counters, reported by ``stats`` only.
+inputs.  Each command builds its report as one JSON-able document:
+``--json`` prints it, and the text form is rendered from it.  An
+``analyze`` report depends only on the languages involved; operand
+product sizes are work counters, reported by ``stats`` only.
 
 `main(argv)` may be called any number of times in one process: the
 argument parser is built on the first call and reused, and no call
@@ -31,7 +33,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
 
 from .automata import Trace
 from .counterfactual import FaultModelKind, ModelAssignment
@@ -67,24 +68,19 @@ def _read_file(path: str) -> str:
                          context=path) from None
 
 
-def _witness_text(t: Optional[Trace]) -> str:
-    if t is None:
-        return "-"
-    if len(t) == 0:
-        return "(empty trace)"
-    return " | ".join(step.to_text() for step in t)
+def _set_text(members: list[str]) -> str:
+    return "{" + ",".join(members) + "}"
+
+
+def _witness_text(steps: list[dict]) -> str:
+    return " | ".join(" ".join(f"{n}={v}" for n, v in step.items())
+                      for step in steps)
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    lines = [fmt.format(*headers).rstrip()]
-    for row in rows:
-        lines.append(fmt.format(*row).rstrip())
-    return lines
+    return [fmt.format(*row).rstrip() for row in [headers, *rows]]
 
 
 # ---------------------------------------------------------------------------
@@ -146,22 +142,22 @@ def cmd_validate(args) -> int:
                          "command": "validate", "status": "invalid",
                          "diagnostics": diags})
         raise
-    diags = validate_system(m)
+    diags = [_diag_jsonable(d) for d in validate_system(m)]
     if args.json:
         _print_json({"schema_version": SCHEMA_VERSION, "command": "validate",
                      "status": "ok" if not diags else "invalid",
-                     "diagnostics": [_diag_jsonable(d) for d in diags]})
+                     "diagnostics": diags})
     elif not diags:
         print(f"ok: {len(m.components)} component(s), "
               f"{len(m.variables)} variable(s), refinement holds")
     for d in diags:
-        witness = (f"; witness: {_witness_text(d.witness)}"
-                   if d.witness is not None else "")
-        _err(f"{d.kind}: {d.message}{witness}")
+        witness = (f"; witness: {_witness_text(d['witness'])}"
+                   if d["witness"] is not None else "")
+        _err(f"{d['kind']}: {d['message']}{witness}")
     return 0 if not diags else 1
 
 
-def _prepare_analysis(args) -> Optional[_Context]:
+def _prepare_analysis(args) -> _Context | None:
     """Common analyze/stats pipeline: the context the analyses share, or
     None when the system fails validation (diagnostics on stderr)."""
     m = _load_system(args)
@@ -186,25 +182,24 @@ def _run_analyses(args, ctx: _Context
             for mode in modes]
 
 
-def _report_lines(report: CauseReport) -> list[str]:
-    lines = [""]
-    quantifier = f" ({report.quantifier})" if report.quantifier else ""
-    lines.append(f"analysis: {report.mode}{quantifier}")
-    lines.append("candidates: " + (", ".join(report.candidates) or "none"))
-    rows = []
-    witnesses = []
-    for cs, v in report.verdicts:
-        rows.append([str(cs), "yes" if v.holds else "no",
-                     "yes" if v.vacuous else "no"])
-        if v.witness is not None:
-            witnesses.append(f"witness {cs}: {_witness_text(v.witness)}")
+def _analysis_line(a: dict) -> str:
+    quantifier = f" ({a['quantifier']})" if a["quantifier"] else ""
+    return f"analysis: {a['mode']}{quantifier}"
+
+
+def _report_lines(a: dict) -> list[str]:
+    """The text of one analysis of an ``analyze`` document."""
+    lines = ["", _analysis_line(a),
+             "candidates: " + (", ".join(a["candidates"]) or "none")]
+    rows = [[_set_text(v["set"]), "yes" if v["holds"] else "no",
+             "yes" if v["vacuous"] else "no"] for v in a["verdicts"]]
     if rows:
         lines.extend(_table(["set", "holds", "vacuous"], rows))
-    lines.extend(witnesses)
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    minimal = ", ".join(str(s) for s in report.minimal) or "none"
-    lines.append(f"minimal {_ROLES[report.mode]} sets: {minimal}")
+    lines.extend(f"witness {_set_text(v['set'])}: {_witness_text(v['witness'])}"
+                 for v in a["verdicts"] if v["witness"] is not None)
+    lines.extend(f"note: {note}" for note in a["notes"])
+    minimal = ", ".join(_set_text(s) for s in a["minimal"]) or "none"
+    lines.append(f"minimal {a['role']} sets: {minimal}")
     return lines
 
 
@@ -212,82 +207,76 @@ def cmd_analyze(args) -> int:
     ctx = _prepare_analysis(args)
     if ctx is None:
         return 1
-    reports = [r for r, _ in _run_analyses(args, ctx)]
-    tr, vio = ctx.tr, ctx.violation
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": "analyze",
+        "trace_length": len(ctx.tr),
+        "violation": {
+            "global_violation_index": ctx.violation.global_violation_index,
+            "faulty": [{"component": n, "first_violation_index": i}
+                       for n, i in ctx.violation.faulty],
+        },
+        "analyses": [dict(r.to_dict(), role=_ROLES[r.mode])
+                     for r, _ in _run_analyses(args, ctx)],
+    }
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "analyze",
-            "trace_length": len(tr),
-            "violation": {
-                "global_violation_index": vio.global_violation_index,
-                "faulty": [{"component": n, "first_violation_index": i}
-                           for n, i in vio.faulty],
-            },
-            "analyses": [dict(r.to_dict(), role=_ROLES[r.mode])
-                         for r in reports],
-        }
         _print_json(doc)
     else:
-        lines = [f"trace: {len(tr)} step(s); global spec violated at "
-                 f"step {vio.global_violation_index}"]
-        faulty = ", ".join(f"{n} (step {i})" for n, i in vio.faulty) or "none"
-        lines.append(f"faulty components: {faulty}")
-        for r in reports:
-            lines.extend(_report_lines(r))
+        vio = doc["violation"]
+        faulty = ", ".join("{component} (step {first_violation_index})"
+                           .format_map(f) for f in vio["faulty"]) or "none"
+        lines = [f"trace: {doc['trace_length']} step(s); global spec "
+                 f"violated at step {vio['global_violation_index']}",
+                 f"faulty components: {faulty}"]
+        for a in doc["analyses"]:
+            lines.extend(_report_lines(a))
         print("\n".join(lines))
-    return 0 if any(r.minimal for r in reports) else 3
+    return 0 if any(a["minimal"] for a in doc["analyses"]) else 3
 
 
 def cmd_stats(args) -> int:
     ctx = _prepare_analysis(args)
     if ctx is None:
         return 1
-    results = _run_analyses(args, ctx)
+    doc = {"schema_version": SCHEMA_VERSION, "command": "stats",
+           "trace_length": len(ctx.tr), "analyses": [{
+               "mode": report.mode,
+               "quantifier": report.quantifier,
+               "candidates": list(report.candidates),
+               "complexity": report.complexity.to_dict(),
+               "subsets": {"evaluated": stats.evaluated,
+                           "pruned": stats.pruned,
+                           "monotone_pruning": stats.monotone_pruning},
+               "per_set": [
+                   {"set": list(r.members), "operand_states": r.operand_states,
+                    "operand_edges": r.operand_edges,
+                    "factor_bound": r.factor_bound,
+                    "pairs_explored": r.pairs_explored,
+                    "bfs_depth": r.bfs_depth}
+                   for r in stats.per_set
+               ],
+           } for report, stats in _run_analyses(args, ctx)]}
     if args.json:
-        analyses = []
-        for report, stats in results:
-            analyses.append({
-                "mode": report.mode,
-                "quantifier": report.quantifier,
-                "candidates": list(report.candidates),
-                "complexity": report.complexity.to_dict(),
-                "subsets": {"evaluated": stats.evaluated,
-                            "pruned": stats.pruned,
-                            "monotone_pruning": stats.monotone_pruning},
-                "per_set": [
-                    {"set": list(r.members), "operand_states": r.operand_states,
-                     "operand_edges": r.operand_edges,
-                     "factor_bound": r.factor_bound,
-                     "pairs_explored": r.pairs_explored,
-                     "bfs_depth": r.bfs_depth}
-                    for r in stats.per_set
-                ],
-            })
-        _print_json({"schema_version": SCHEMA_VERSION, "command": "stats",
-                     "trace_length": len(ctx.tr), "analyses": analyses})
-    else:
-        lines = []
-        for report, stats in results:
-            quantifier = f" ({report.quantifier})" if report.quantifier else ""
-            lines.append(f"analysis: {report.mode}{quantifier}")
-            c = report.complexity
-            lines.append(
-                f"candidates: {', '.join(report.candidates) or 'none'} "
-                f"(k={c.candidates}; worst-case evaluations "
-                f"{c.worst_case_evaluations}; components {c.components})")
-            rows = [[ "{" + ",".join(r.members) + "}",
-                      str(r.operand_states), str(r.operand_edges),
-                      str(r.factor_bound), str(r.pairs_explored),
-                      str(r.bfs_depth)]
-                    for r in stats.per_set]
-            lines.extend(_table(
-                ["set", "states", "edges", "bound", "pairs", "depth"], rows))
-            lines.append(f"subsets: evaluated={stats.evaluated} "
-                         f"pruned={stats.pruned} monotone_pruning="
-                         f"{'on' if stats.monotone_pruning else 'off'}")
-            lines.append("")
-        print("\n".join(lines).rstrip())
+        _print_json(doc)
+        return 0
+    lines = []
+    for a in doc["analyses"]:
+        c, s = a["complexity"], a["subsets"]
+        lines.append(_analysis_line(a))
+        lines.append(
+            f"candidates: {', '.join(a['candidates']) or 'none'} "
+            f"(k={c['candidates']}; worst-case evaluations "
+            f"{c['worst_case_evaluations']}; components {c['components']})")
+        rows = [[_set_text(r["set"]),
+                 *(str(n) for key, n in r.items() if key != "set")]
+                for r in a["per_set"]]
+        lines.extend(_table(
+            ["set", "states", "edges", "bound", "pairs", "depth"], rows))
+        lines.append(f"subsets: evaluated={s['evaluated']} "
+                     f"pruned={s['pruned']} monotone_pruning="
+                     f"{'on' if s['monotone_pruning'] else 'off'}")
+        lines.append("")
+    print("\n".join(lines).rstrip())
     return 0
 
 
@@ -364,7 +353,7 @@ _REFUSALS = (
 )
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

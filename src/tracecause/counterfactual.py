@@ -25,7 +25,7 @@ not in the language.
 from __future__ import annotations
 
 import enum
-from typing import Mapping, Optional
+from collections.abc import Mapping
 
 from .automata import (SafetyAutomaton, Trace, product, run,
                        universal_automaton)
@@ -145,8 +145,8 @@ class ModelAssignment(Record):
                     for c in m.components})
 
     def override(self, name: str,
-                 cf_kind: Optional[FaultModelKind] = None,
-                 fault_kind: Optional[FaultModelKind] = None
+                 cf_kind: FaultModelKind | None = None,
+                 fault_kind: FaultModelKind | None = None
                  ) -> "ModelAssignment":
         current = self._lookup(name)
         entries = dict(self.entries)

@@ -36,9 +36,9 @@ modes run.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
 from math import prod
-from typing import Iterable, Optional, Union
 
 from .automata import (SafetyAutomaton, Trace, contains,
                        find_trace_of_length, has_joint_trace_of_length,
@@ -92,7 +92,7 @@ class CandidateSet(Record):
         return "{" + ",".join(self.sorted_members) + "}"
 
 
-Candidates = Union[CandidateSet, Iterable[str]]
+Candidates = CandidateSet | Iterable[str]
 
 
 class Verdict(Record):
@@ -108,7 +108,7 @@ class Verdict(Record):
 
     __slots__ = ("holds", "witness", "vacuous")
 
-    def __init__(self, holds: bool, witness: Optional[Trace], vacuous: bool):
+    def __init__(self, holds: bool, witness: Trace | None, vacuous: bool):
         setfield(self, "holds", holds)
         setfield(self, "witness", witness)
         setfield(self, "vacuous", vacuous)
@@ -160,9 +160,9 @@ class CauseReport(Record):
                  "minimal_only", "all_satisfying", "minimal", "verdicts",
                  "notes", "complexity")
 
-    def __init__(self, mode: str, quantifier: Optional[str], assignment: dict,
+    def __init__(self, mode: str, quantifier: str | None, assignment: dict,
                  candidates: tuple[str, ...], minimal_only: bool,
-                 all_satisfying: Optional[tuple[CandidateSet, ...]],
+                 all_satisfying: tuple[CandidateSet, ...] | None,
                  minimal: tuple[CandidateSet, ...],
                  verdicts: tuple[tuple[CandidateSet, Verdict], ...],
                  notes: tuple[str, ...], complexity: ComplexityNote):
@@ -215,7 +215,7 @@ class EnumerationStats(Record):
 
     def __init__(self, evaluated: int, pruned: int,
                  per_set: tuple[SetMetrics, ...],
-                 _context: Optional[_Context] = None):
+                 _context: _Context | None = None):
         setfield(self, "evaluated", evaluated)
         setfield(self, "pruned", pruned)
         setfield(self, "per_set", per_set)
@@ -226,7 +226,7 @@ class EnumerationStats(Record):
         return self._context is not None and self._context.monotone
 
 
-def _trace_to_jsonable(t: Optional[Trace]):
+def _trace_to_jsonable(t: Trace | None):
     if t is None:
         return None
     return [dict(step.items()) for step in t]
@@ -254,14 +254,14 @@ class _Context:
     builders need none."""
 
     def __init__(self, m: SystemModel, tr: Trace,
-                 asg: Optional[ModelAssignment] = None,
-                 violation: Optional[ViolationReport] = None):
+                 asg: ModelAssignment | None = None,
+                 violation: ViolationReport | None = None):
         self.m, self.tr = m, tr
         self.asg = asg or ModelAssignment.defaults(m)
         self.violation = violation
         self._factors: dict = {}
         self.answers: dict = {}
-        self._monotone: Optional[bool] = None
+        self._monotone: bool | None = None
 
     @property
     def monotone(self) -> bool:
@@ -303,7 +303,7 @@ class _Context:
 
 
 def _analysis(m: SystemModel, tr: Trace,
-              asg: Optional[ModelAssignment] = None) -> _Context:
+              asg: ModelAssignment | None = None) -> _Context:
     """The context of an analysis of ``tr``; raises `NotAnErrorTrace`
     unless its `faulty_components` report has ``tr`` violate the global
     spec.  Every analysis decides that here, and only here."""
@@ -314,7 +314,7 @@ def _analysis(m: SystemModel, tr: Trace,
 
 
 def _operand(m: SystemModel, tr: Trace, d: Candidates,
-             asg: Optional[ModelAssignment],
+             asg: ModelAssignment | None,
              corrected_in_set: bool) -> SafetyAutomaton:
     members = _normalize_members(m, d)
     ctx = _Context(m, tr, asg)
@@ -322,7 +322,7 @@ def _operand(m: SystemModel, tr: Trace, d: Candidates,
 
 
 def mitigation_operand(m: SystemModel, tr: Trace, d: Candidates,
-                       asg: Optional[ModelAssignment] = None) -> SafetyAutomaton:
+                       asg: ModelAssignment | None = None) -> SafetyAutomaton:
     """The language of all global behaviors where the components in ``d``
     are counterfactually corrected and everyone else follows their fault
     model.  Guards stay over each component's own variables, so inverse
@@ -331,7 +331,7 @@ def mitigation_operand(m: SystemModel, tr: Trace, d: Candidates,
 
 
 def manifestation_operand(m: SystemModel, tr: Trace, d: Candidates,
-                          asg: Optional[ModelAssignment] = None) -> SafetyAutomaton:
+                          asg: ModelAssignment | None = None) -> SafetyAutomaton:
     """Mirror image of `mitigation_operand`: ``d`` keeps its fault model,
     everyone else is corrected."""
     return _operand(m, tr, d, asg, False)
@@ -371,7 +371,7 @@ def _decide(ctx: _Context, kinds: tuple[FaultModelKind, ...],
 
 
 def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
-              quantifier: Optional[str]) -> tuple[Verdict, SetMetrics]:
+              quantifier: str | None) -> tuple[Verdict, SetMetrics]:
     # An operand is fixed by its factor kinds.  Mitigation and existential
     # manifestation ask it the same containment question with opposite
     # signs, so manifestation of E shares its answer with mitigation of
@@ -389,7 +389,7 @@ def _evaluate(ctx: _Context, members: frozenset[str], mode: str,
 
 
 def mitigates(m: SystemModel, tr: Trace, d: Candidates,
-              asg: Optional[ModelAssignment] = None) -> Verdict:
+              asg: ModelAssignment | None = None) -> Verdict:
     """Does correcting ``d`` guarantee the global spec against the modeled
     faults of everyone else, at every finite length?"""
     ctx = _analysis(m, tr, asg)
@@ -399,7 +399,7 @@ def mitigates(m: SystemModel, tr: Trace, d: Candidates,
 
 
 def manifests(m: SystemModel, tr: Trace, d: Candidates,
-              asg: Optional[ModelAssignment] = None,
+              asg: ModelAssignment | None = None,
               quantifier: str = "existential") -> Verdict:
     """Does the modeled faulty behavior of ``d`` produce a global violation
     even when everyone else behaves correctly?  ``quantifier`` picks
@@ -436,11 +436,11 @@ def _level_order(k: int) -> list[int]:
 
 
 def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
-                         asg: Optional[ModelAssignment] = None,
+                         asg: ModelAssignment | None = None,
                          quantifier: str = "existential",
                          minimal_only: bool = False,
                          allow_nonfaulty: bool = False, *,
-                         _context: Optional[_Context] = None
+                         _context: _Context | None = None
                          ) -> tuple[CauseReport, EnumerationStats]:
     """`enumerate_causal_sets` plus the work counters the report must not
     contain (so that pruned and unpruned runs report identically): sets
@@ -476,12 +476,10 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
     if not search and 2 ** k > MAX_EVALUATIONS:
         raise BudgetExceeded("candidate sets to evaluate", 2 ** k,
                              MAX_EVALUATIONS)
-    evaluated = 0
     pruned = 0
     satisfying: list[frozenset[str]] = []
     failing: list[frozenset[str]] = []
-    entries: list[tuple[CandidateSet, Verdict]] = []
-    rows: list[SetMetrics] = []
+    evaluated: list[tuple[CandidateSet, Verdict, SetMetrics]] = []
     for size in (_level_order(k) if search else range(k + 1)):
         for combo in combinations(universe, size):
             members = frozenset(combo)
@@ -491,21 +489,17 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
                 continue
             verdict, metrics = _evaluate(ctx, members, mode,
                                          effective_quantifier)
-            evaluated += 1
-            entries.append((CandidateSet(members), verdict))
-            rows.append(metrics)
+            evaluated.append((CandidateSet(members), verdict, metrics))
             (satisfying if verdict.holds else failing).append(members)
     if search:
-        entries.sort(key=lambda e: e[0].sort_key)
-        rows.sort(key=lambda r: (len(r.members), r.members))
+        evaluated.sort(key=lambda e: e[0].sort_key)
 
     minimal = tuple(minimal_antichain(CandidateSet(s) for s in satisfying))
-    if minimal_only:
-        wanted = {cs.members for cs in minimal}
-        entries = [(cs, v) for cs, v in entries if cs.members in wanted]
-        all_satisfying = None
-    else:
-        all_satisfying = tuple(CandidateSet(s) for s in satisfying)
+    wanted = {cs.members for cs in minimal}
+    entries = tuple((cs, v) for cs, v, _ in evaluated
+                    if not minimal_only or cs.members in wanted)
+    all_satisfying = (None if minimal_only else
+                      tuple(CandidateSet(s) for s in satisfying))
 
     notes: tuple[str, ...] = ()
     if k == 0:
@@ -519,17 +513,18 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
         minimal_only=minimal_only,
         all_satisfying=all_satisfying,
         minimal=minimal,
-        verdicts=tuple(entries),
+        verdicts=entries,
         notes=notes,
         complexity=ComplexityNote(k, 2 ** k, len(m.components)),
     )
-    stats = EnumerationStats(evaluated, pruned, tuple(rows),
+    stats = EnumerationStats(len(evaluated), pruned,
+                             tuple(row for _, _, row in evaluated),
                              ctx if upward else None)
     return report, stats
 
 
 def enumerate_causal_sets(m: SystemModel, tr: Trace, mode: str,
-                          asg: Optional[ModelAssignment] = None,
+                          asg: ModelAssignment | None = None,
                           quantifier: str = "existential",
                           minimal_only: bool = False,
                           allow_nonfaulty: bool = False) -> CauseReport:

@@ -20,8 +20,8 @@ which bounds every recursion here.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 from .errors import ParseError, UndeclaredVariable
 from .records import Record, setfield

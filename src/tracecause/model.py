@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .automata import (Diagnostic, RunResult, SafetyAutomaton, Trace,
                        Valuation, check_wellformed, contains, run)
@@ -128,7 +128,7 @@ class ViolationReport(Record):
 
     __slots__ = ("global_violation_index", "faulty")
 
-    def __init__(self, global_violation_index: Optional[int],
+    def __init__(self, global_violation_index: int | None,
                  faulty: tuple[tuple[str, int], ...]):
         setfield(self, "global_violation_index", global_violation_index)
         setfield(self, "faulty", faulty)

@@ -648,9 +648,10 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch,
 # ---------------------------------------------------------------------------
 # start-up
 
-# Modules that only `dataclasses` pulled in; start-up needs none of them.
+# Modules that only `dataclasses` pulled in, and `typing`, which only
+# annotations named; start-up needs none of them.
 UNNEEDED_AT_STARTUP = {"dataclasses", "inspect", "dis", "ast", "tokenize",
-                       "copy"}
+                       "copy", "typing"}
 
 STARTUP_PROBE = """\
 import sys
@@ -667,10 +668,11 @@ print(json.dumps([sorted(setup - before), sorted(jobs - setup), codes]))
 
 
 def test_startup_loads_only_what_a_job_needs():
-    # A fresh interpreter without site packages: pytest itself imports
-    # `dataclasses`.  Importing the CLI and building its parser loads no
-    # module a job does not need, and the jobs then load no module at
-    # all, so no import waits in the job path either.
+    # A fresh isolated interpreter without the `site` module: pytest
+    # itself imports `dataclasses`, and a site `.pth` file may import
+    # `typing`.  Importing the CLI and building its parser loads no module
+    # a job does not need, and the jobs then load no module at all, so no
+    # import waits in the job path either.
     data = ROOT / "demos" / "data"
     system, trace = str(data / "system.json"), str(data / "trace.txt")
     argvs = [["validate", system],
@@ -680,7 +682,7 @@ def test_startup_loads_only_what_a_job_needs():
               "--minimal-only"]]
     src = os.path.dirname(os.path.dirname(tracecause.__file__))
     probe = STARTUP_PROBE.format(src=src, argvs=argvs)
-    done = subprocess.run([sys.executable, "-E", "-s", "-c", probe],
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     setup, jobs, codes = json.loads(done.stdout.splitlines()[-1])
