@@ -16,11 +16,11 @@ letter's entry at its restriction.  A product never builds guards to
 explore: it combines its members' edge rows and fills its transition
 table as it goes.  Every search is one layered walk over transition
 tables, of states or of pairs of states (`_layers`), and every witness
-is spelled back through its layers (`_spell`).  Horizon questions build
-no product, even for two automata, and neither does refinement:
-`contains` of a sequence of automata walks their product on the fly,
-reading its tuples' successors off the members' tables.  A scope of n
-variables has 2^n letters.
+is spelled back through its layers (`_spell`).  No search builds a
+product: `contains` and the horizon questions take a sequence of
+automata and walk their product on the fly, reading its tuples'
+successors off the members' tables (`_Tuples`).  A scope of n variables
+has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -639,12 +639,20 @@ def _spell(layers: list, row, scope: tuple[str, ...]) -> Trace:
     return Trace(reversed(letters))
 
 
+def _members(a: Sequence[SafetyAutomaton]) -> tuple[SafetyAutomaton, ...]:
+    members = tuple(a)
+    if not members:
+        raise ValueError("product of zero automata is undefined")
+    return members
+
+
 class _Tuples:
     """The tuples of the members' states, for a search that walks their
-    product without building it: ``t[q]`` pairs up the successors of
-    tuple ``q`` on each letter of ``scope`` (the row the product's table
-    would hold), and ``q in t`` tells whether a coordinate of ``q`` is
-    bad (whether the product's state is)."""
+    product without building it (`contains` and the horizon walks):
+    ``t[q]`` pairs up the successors of tuple ``q`` on each letter of
+    ``scope`` (the row the product's table would hold), and ``q in t``
+    tells whether a coordinate of ``q`` is bad (whether the product's
+    state is)."""
 
     __slots__ = ("_tables", "_bads")
 
@@ -682,9 +690,7 @@ def contains(a: SafetyAutomaton | Sequence[SafetyAutomaton],
         scope = tuple(sorted(a.var_set | b.var_set))
         start, ta, bad_a = a.initial, a.transition_table(scope), a.bad
     else:
-        members = tuple(a)
-        if not members:
-            raise ValueError("product of zero automata is undefined")
+        members = _members(a)
         scope = tuple(sorted(b.var_set.union(*(m.vars for m in members))))
         start = tuple(m.initial for m in members)
         ta = bad_a = _Tuples(members, scope)
@@ -709,15 +715,40 @@ def contains(a: SafetyAutomaton | Sequence[SafetyAutomaton],
     return ContainmentResult(True, None, len(seen), len(expanded) - 1)
 
 
-def has_trace_of_length(a: SafetyAutomaton, h: int) -> bool:
+def _walk(a: SafetyAutomaton | Sequence[SafetyAutomaton]):
+    """The start state, the successor ``row``, the ``drop`` of `_layers`
+    and the scope of a horizon walk of ``a``: of one automaton over its
+    own variables, or of a nonempty sequence of automata over their
+    union scope, its states the tuples of member states (`_Tuples`)."""
+    if isinstance(a, SafetyAutomaton):
+        table = a.transition_table(a.vars)
+        return a.initial, table.__getitem__, a.bad.intersection, a.vars
+    members = _members(a)
+    scope = tuple(sorted(set().union(*(m.vars for m in members))))
+    tuples = _Tuples(members, scope)
+    return (tuple(m.initial for m in members), tuples.__getitem__,
+            lambda layer: [q for q in layer if q in tuples], scope)
+
+
+def has_trace_of_length(a: SafetyAutomaton | Sequence[SafetyAutomaton],
+                        h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted, decided by
-    h-step forward reachability through good states."""
-    table = a.transition_table(a.vars)
-    return _nonempty_at(
-        _layers(a.initial, table.__getitem__, a.bad.intersection), h)
+    h-step forward reachability through good states.
+
+    ``a`` may also be a nonempty sequence of automata, standing for their
+    `product`, which is not built: the walk goes over tuples of member
+    states, their successors read off the members' transition tables at
+    the union scope (`_Tuples`), and drops every tuple with a bad
+    coordinate.  So ``has_trace_of_length((a, b), h)`` asks whether some
+    trace of length ``h`` is accepted by both.  The answer equals that of
+    ``has_trace_of_length(product(a), h)``, except that an incomplete
+    member raises, as in `contains`."""
+    start, row, drop, _ = _walk(a)
+    return _nonempty_at(_layers(start, row, drop), h)
 
 
-def find_trace_of_length(a: SafetyAutomaton, h: int) -> Trace | None:
+def find_trace_of_length(a: SafetyAutomaton | Sequence[SafetyAutomaton],
+                         h: int) -> Trace | None:
     """A deterministic accepted trace of length exactly ``h``, or None.
 
     The layered walk of `has_trace_of_length` runs to layer ``h`` (or to
@@ -725,26 +756,31 @@ def find_trace_of_length(a: SafetyAutomaton, h: int) -> Trace | None:
     back to the initial state (`_spell`).  All h + 1 layers are kept, so
     the horizon should be modest (it is the error-trace length in
     practice).
+
+    ``a`` may also be a nonempty sequence of automata, walked as in
+    `has_trace_of_length` without building their `product`; the layers
+    and the speller are the same, so the witness equals that of
+    ``find_trace_of_length(product(a), h)``.  For a sequence, h = 0 and
+    a bad initial tuple are answered before any table is built, so an
+    incomplete member raises only on a walk of at least one step.
     """
     if h < 0:
         raise ValueError("length must be nonnegative")
-    table = a.transition_table(a.vars)
-    layers = list(islice(takewhile(bool, _layers(
-        a.initial, table.__getitem__, a.bad.intersection)), h + 1))
+    if not isinstance(a, SafetyAutomaton):
+        a = _members(a)
+        if any(m.initial in m.bad for m in a):
+            return None
+        if h == 0:
+            return Trace()
+    start, row, drop, scope = _walk(a)
+    layers = list(islice(takewhile(bool, _layers(start, row, drop)), h + 1))
     if len(layers) <= h:
         return None
-    return _spell(layers, table.__getitem__, a.vars)
+    return _spell(layers, lambda q: tuple(row(q)), scope)
 
 
 def has_joint_trace_of_length(a: SafetyAutomaton, b: SafetyAutomaton,
                               h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted by both
-    automata.  No product is built: the layered walk goes over pairs of
-    states, read off the two transition tables at the union scope, and
-    drops every pair with a bad coordinate."""
-    scope = tuple(sorted(a.var_set | b.var_set))
-    ta, tb = a.transition_table(scope), b.transition_table(scope)
-    bad_a, bad_b = a.bad, b.bad
-    return _nonempty_at(_layers(
-        (a.initial, b.initial), lambda p: zip(ta[p[0]], tb[p[1]]),
-        lambda ps: [p for p in ps if p[0] in bad_a or p[1] in bad_b]), h)
+    automata: ``has_trace_of_length((a, b), h)``."""
+    return has_trace_of_length((a, b), h)

@@ -267,8 +267,10 @@ def cmd_stats(args) -> int:
             f"candidates: {', '.join(a['candidates']) or 'none'} "
             f"(k={c['candidates']}; worst-case evaluations "
             f"{c['worst_case_evaluations']}; components {c['components']})")
+        # A universal row has no operand sizes: no product was built.
         rows = [[_set_text(r["set"]),
-                 *(str(n) for key, n in r.items() if key != "set")]
+                 *("-" if n is None else str(n)
+                   for key, n in r.items() if key != "set")]
                 for r in a["per_set"]]
         lines.extend(_table(
             ["set", "states", "edges", "bound", "pairs", "depth"], rows))

@@ -20,6 +20,9 @@ manifestation is bounded at the error-trace length, where "observed
 behavior" is meaningful.  A universal verdict additionally requires the
 combined language to be realizable at that length; an unrealizable
 operand yields holds=False with vacuous=True rather than a vacuous truth.
+A containment question builds its operand, the product of the factors;
+a universal one builds none: its walks to the horizon read the factors'
+transition tables (`_decide`).
 
 Everything here is a pure function of immutable inputs; candidate sets
 could be evaluated concurrently, but results are reduced in the fixed
@@ -41,8 +44,8 @@ from itertools import combinations
 from math import prod
 
 from .automata import (SafetyAutomaton, Trace, contains,
-                       find_trace_of_length, has_joint_trace_of_length,
-                       has_trace_of_length, product)
+                       find_trace_of_length, has_trace_of_length, product)
+from .automata import has_joint_trace_of_length  # noqa: F401  (rebound by bench/tracing.py)
 from .counterfactual import FaultModelKind, ModelAssignment, build_fault_model
 from .errors import BudgetExceeded, NotAnErrorTrace, UnknownComponent
 from .model import (SystemModel, ViolationReport, faulty_components,
@@ -56,10 +59,11 @@ QUANTIFIERS = ("existential", "universal")
 MAX_EVALUATIONS = 4096
 """Most candidate sets the exhaustive subset loop may evaluate.  An
 evaluation whose operand question is new builds a product of every
-component's fault model, so a larger universe (2^k > 4096, that is
-k > 12 candidates) is refused (`BudgetExceeded`) before the first one;
-the both-ends search of ``minimal_only`` under a monotone assignment is
-not bounded by it."""
+component's fault model (a containment question) or walks one unbuilt
+to the error-trace length (a universal one), so a larger universe
+(2^k > 4096, that is k > 12 candidates) is refused (`BudgetExceeded`)
+before the first one; the both-ends search of ``minimal_only`` under a
+monotone assignment is not bounded by it."""
 
 
 class CandidateSet(Record):
@@ -115,14 +119,16 @@ class Verdict(Record):
 
 
 class SetMetrics(Record):
-    """Work done for one candidate set (reported by the stats command)."""
+    """Work done for one candidate set (reported by the stats command).
+    ``operand_states`` and ``operand_edges`` are None for a universal
+    manifestation question, which builds no operand product."""
 
     __slots__ = ("members", "operand_states", "operand_edges",
                  "factor_bound", "pairs_explored", "bfs_depth")
 
-    def __init__(self, members: tuple[str, ...], operand_states: int,
-                 operand_edges: int, factor_bound: int, pairs_explored: int,
-                 bfs_depth: int):
+    def __init__(self, members: tuple[str, ...], operand_states: int | None,
+                 operand_edges: int | None, factor_bound: int,
+                 pairs_explored: int, bfs_depth: int):
         setfield(self, "members", members)
         setfield(self, "operand_states", operand_states)
         setfield(self, "operand_edges", operand_edges)
@@ -133,7 +139,8 @@ class SetMetrics(Record):
 
 class ComplexityNote(Record):
     """Worst-case work of the enumeration: 2^k predicate evaluations, each
-    building a product of n component automata."""
+    over a product of n component automata (built for a containment
+    question, walked unbuilt to the horizon for a universal one)."""
 
     __slots__ = ("candidates", "worst_case_evaluations", "components")
 
@@ -338,36 +345,35 @@ def manifestation_operand(m: SystemModel, tr: Trace, d: Candidates,
 
 
 def _decide(ctx: _Context, kinds: tuple[FaultModelKind, ...],
-            contained: bool) -> tuple[Verdict, tuple[int, ...]]:
-    """Build the operand of the factor ``kinds`` and answer one question
-    of it: with ``contained``, whether its language lies inside the
-    global spec's (``holds``, as mitigation reads it), else universal
-    manifestation at the error-trace length.  Returns the verdict and the
-    sizes of its `SetMetrics` row."""
+            contained: bool) -> tuple[Verdict, tuple]:
+    """Answer one question of the operand of the factor ``kinds``: with
+    ``contained``, whether its language lies inside the global spec's
+    (``holds``, as mitigation reads it), else universal manifestation at
+    the error-trace length.  Returns the verdict and the sizes of its
+    `SetMetrics` row.  Only a containment question builds the operand
+    product, whose state and edge counts the row reports; a universal
+    one walks the factors' tables to the horizon (`find_trace_of_length`
+    of the factors, then `has_trace_of_length` of the factors and the
+    global spec) and reports None for both."""
     factors = ctx.factors(kinds)
-    operand = product(factors)
+    bound = prod(a.state_count for a in factors)
     h = len(ctx.tr)
-    pairs = 0
-    depth = 0
     if contained:
         # A containment witness exists exactly when containment fails.
+        operand = product(factors)
         res = contains(operand, ctx.m.global_spec)
-        pairs, depth = res.pairs_explored, res.bfs_depth
         verdict = Verdict(res.holds, res.witness,
                           not has_trace_of_length(operand, h))
-    else:
-        # One walk to the horizon decides realizability and gives the
-        # witness a holding verdict reports.
-        witness = find_trace_of_length(operand, h)
-        if witness is None:
-            verdict = Verdict(False, None, True)
-        else:
-            holds = not has_joint_trace_of_length(operand, ctx.m.global_spec,
-                                                  h)
-            verdict = Verdict(holds, witness if holds else None, False)
-            depth = h
-    return verdict, (operand.state_count, operand.edge_count,
-                     prod(a.state_count for a in factors), pairs, depth)
+        return verdict, (operand.state_count, operand.edge_count, bound,
+                         res.pairs_explored, res.bfs_depth)
+    # One walk to the horizon decides realizability and gives the witness
+    # a holding verdict reports.
+    witness = find_trace_of_length(factors, h)
+    if witness is None:
+        return Verdict(False, None, True), (None, None, bound, 0, 0)
+    holds = not has_trace_of_length([*factors, ctx.m.global_spec], h)
+    return (Verdict(holds, witness if holds else None, False),
+            (None, None, bound, 0, h))
 
 
 def _evaluate(ctx: _Context, members: frozenset[str], mode: str,

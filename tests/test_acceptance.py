@@ -350,7 +350,11 @@ def test_acceptance_7_complexity_sanity(tmp_path, capsys):
         if stats.evaluated != 2 ** n or stats.pruned != 0:
             failures.append(f"{mode}: evaluated {stats.evaluated} != 2^{n}")
         for row in stats.per_set:
-            if row.operand_states > row.factor_bound:
+            # A universal question walks the factors and builds no operand.
+            if mode == "manifestation":
+                if (row.operand_states, row.operand_edges) != (None, None):
+                    failures.append(f"{mode} {row.members}: operand built")
+            elif row.operand_states > row.factor_bound:
                 failures.append(
                     f"{mode} {row.members}: {row.operand_states} states "
                     f"exceed bound {row.factor_bound}")

@@ -14,7 +14,7 @@ from tracecause.automata import (ContainmentResult, SafetyAutomaton, Trace,
                                  has_trace_of_length, product, run,
                                  universal_automaton)
 from tracecause.counterfactual import FaultModelKind, build_fault_model
-from tracecause.engine import manifestation_operand
+from tracecause.engine import _Context, manifestation_operand
 from tracecause.errors import DomainMismatch
 from tracecause.guards import (TRUE, And, Not, Or, Var, cube, disj, guard_eval,
                                guard_mask)
@@ -525,6 +525,8 @@ def test_joint_horizon_builds_no_product(monkeypatch):
     for a, b in random_automaton_pairs(rng, 20):
         for h in HORIZONS:
             has_joint_trace_of_length(a, b, h)
+            has_trace_of_length((a, b), h)
+            find_trace_of_length((a, b), min(h, 9))
     assert calls == []
 
 
@@ -652,6 +654,86 @@ def test_search_core_matches_reference(pairs, incomplete):
     # Both containment answers occur, and only incomplete tables raise.
     assert {True, False} <= seen
     assert (RuntimeError in seen) == incomplete
+
+
+# ---------------------------------------------------------------------------
+# horizon walks of a product that is not built
+
+MEMBER_HORIZONS = [*range(7), 10 ** 9]
+
+
+def randsys_factor_cases(n):
+    """(fault-model factors of one operand, global spec) of ``n`` seeded
+    randsys systems, under random kind assignments and candidate sets."""
+    rng = random.Random(43)
+    found = 0
+    while found < n:
+        m = random_system(rng)
+        tr = random_error_trace(rng, m)
+        if tr is None:
+            continue
+        found += 1
+        ctx = _Context(m, tr, random_assignment(rng, m))
+        names = [c.name for c in m.components]
+        d = frozenset(rng.sample(names, rng.randint(0, len(names))))
+        yield ctx.factors(ctx.kinds(d, rng.random() < 0.5)), m.global_spec
+
+
+def test_member_horizon_walks_equal_product_walks():
+    """Both horizon answers of a member sequence, alone and with the
+    global spec, equal those of the built product and of the reference
+    loops: witnesses included, at h = 0 and at a horizon that only the
+    cycle jump reaches."""
+    answers, bad_starts = set(), 0
+    for members, b in [*randsys_factor_cases(60), *raw_member_cases(80)]:
+        for seq in (members, [*members, b]):
+            p = product(seq)
+            bad_starts += p.initial in p.bad
+            for h in MEMBER_HORIZONS:
+                has = has_trace_of_length(seq, h)
+                assert has == has_trace_of_length(p, h) == \
+                    search_reference.has_trace_of_length(p, h)
+                answers.add((h, has))
+                if h > 6:
+                    continue
+                found = find_trace_of_length(seq, h)
+                assert found == find_trace_of_length(p, h) == \
+                    search_reference.find_trace_of_length(p, h)
+                assert (found is not None) == has
+    assert {(0, True), (1, False), (10 ** 9, True), (10 ** 9, False)} <= answers
+    assert bad_starts > 0
+    for walk in (has_trace_of_length, find_trace_of_length):
+        with pytest.raises(ValueError):
+            walk([], 1)
+
+
+def test_incomplete_member_raises_as_in_contains():
+    """A member without an edge on some letter raises, as its table does
+    in `contains`, at every length; `find_trace_of_length` answers h = 0
+    and a bad initial tuple before it reads a table."""
+    rng = random.Random(44)
+    scopes = [["u"], ["v"], ["u", "v"], ["v", "w"]]
+    raised = early = 0
+    for _ in range(80):
+        members = [random_raw_automaton(rng, rng.choice(scopes), 0.15)
+                   for _ in range(rng.randint(1, 3))]
+        error = outcome(contains, members, universal_automaton([]))
+        if not isinstance(error, tuple):
+            continue
+        assert error[0] is RuntimeError
+        raised += 1
+        bad_start = any(m.initial in m.bad for m in members)
+        for h in MEMBER_HORIZONS:
+            assert outcome(has_trace_of_length, members, h) == error
+            found = outcome(find_trace_of_length, members, h)
+            if bad_start:
+                assert found is None
+            elif h == 0:
+                assert found == Trace()
+            else:
+                assert found == error
+        early += bad_start
+    assert raised > early > 0
 
 
 def test_transition_table_matches_step():

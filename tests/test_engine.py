@@ -552,9 +552,14 @@ def test_shared_answers_equal_fresh_contexts(monkeypatch):
     # Every run on one system shares one context, so answers cross modes,
     # quantifiers and flag sets; the reference decides each candidate set
     # on a context of its own.
-    real_evaluate = engine._evaluate
+    real_evaluate, real_decide = engine._evaluate, engine._decide
     real_product = engine.product
     builds = Counter()
+
+    def counting_decide(ctx, kinds, contained):
+        builds["decide"] += 1
+        builds["containment"] += contained
+        return real_decide(ctx, kinds, contained)
 
     def counting_product(factors):
         builds["product"] += 1
@@ -564,6 +569,7 @@ def test_shared_answers_equal_fresh_contexts(monkeypatch):
         fresh = _Context(ctx.m, ctx.tr, ctx.asg, ctx.violation)
         return real_evaluate(fresh, *args)
 
+    monkeypatch.setattr(engine, "_decide", counting_decide)
     monkeypatch.setattr(engine, "product", counting_product)
     for m, tr, asg in random_analyses(random.Random(12), 60):
         ctx = engine._analysis(m, tr, asg)
@@ -580,31 +586,40 @@ def test_shared_answers_equal_fresh_contexts(monkeypatch):
                     assert shared[0].to_dict() == alone[0].to_dict()
                     assert shared[1] == alone[1]
         builds["answers"] += len(ctx.answers)
-    # The fresh runs build one product per evaluation, the shared ones one
-    # per distinct question, and most shared evaluations reuse an answer.
-    assert builds["product"] == builds["evaluated"] + builds["answers"]
+    # The fresh runs decide one question per evaluation, the shared ones
+    # one per distinct question, and most shared evaluations reuse an
+    # answer.  Only containment questions build their operand.
+    assert builds["decide"] == builds["evaluated"] + builds["answers"]
     assert 2 * builds["answers"] < builds["evaluated"]
+    assert builds["product"] == builds["containment"] < builds["decide"]
 
 
-def product_calls(monkeypatch, tmp_path, m, tr, *flags):
-    """How many operand products one `analyze --json` call builds."""
+def operand_calls(monkeypatch, tmp_path, m, tr, *flags):
+    """The operand products one `analyze --json` call builds
+    (``product``) and the questions it decides (`engine._decide` calls),
+    by kind (``containment`` or ``universal``)."""
     system = tmp_path / "sys.json"
     system.write_text(serialize_system(m))
     trace = tmp_path / "tr.txt"
     trace.write_text(tr.to_text() + "\n")
-    calls = []
-    real = engine.product
+    calls = Counter()
+    real_product, real_decide = engine.product, engine._decide
 
-    def counting(factors):
-        calls.append(factors)
-        return real(factors)
+    def counting_product(factors):
+        calls["product"] += 1
+        return real_product(factors)
+
+    def counting_decide(ctx, kinds, contained):
+        calls["containment" if contained else "universal"] += 1
+        return real_decide(ctx, kinds, contained)
 
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "product", counting)
+        patch.setattr(engine, "product", counting_product)
+        patch.setattr(engine, "_decide", counting_decide)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(["analyze", str(system), str(trace), "--json",
                              *flags]) == 0
-    return len(calls)
+    return calls
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -612,8 +627,9 @@ def test_modes_share_containment_operands(monkeypatch, tmp_path, n):
     # Existential manifestation of E asks mitigation's question of the
     # components outside E, so both modes build the 2^n operands once.
     m, tr = independent_family(n)
-    assert product_calls(monkeypatch, tmp_path, m, tr, "--mode", "both",
-                         "--allow-nonfaulty") == 2 ** n
+    assert operand_calls(monkeypatch, tmp_path, m, tr, "--mode", "both",
+                         "--allow-nonfaulty") == Counter(
+        product=2 ** n, containment=2 ** n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -621,13 +637,17 @@ def test_equal_kinds_share_operands(monkeypatch, tmp_path, n):
     # With C0 corrected to its own fault kind, D and D | {C0} have the
     # same operand.
     m, tr = independent_family(n)
-    assert product_calls(monkeypatch, tmp_path, m, tr, "--mode",
-                         "mitigation", "--cf", "C0=observed-out") == 2 ** (n - 1)
+    assert operand_calls(monkeypatch, tmp_path, m, tr, "--mode",
+                         "mitigation", "--cf", "C0=observed-out") == Counter(
+        product=2 ** (n - 1), containment=2 ** (n - 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_universal_shares_nothing_with_containment(monkeypatch, tmp_path, n):
+    # Universal manifestation asks 2^n questions of its own, and walks
+    # their factors to the horizon: only mitigation builds operands.
     m, tr = independent_family(n)
-    assert product_calls(monkeypatch, tmp_path, m, tr, "--mode", "both",
+    assert operand_calls(monkeypatch, tmp_path, m, tr, "--mode", "both",
                          "--allow-nonfaulty", "--quantifier",
-                         "universal") == 2 ** (n + 1)
+                         "universal") == Counter(
+        product=2 ** n, containment=2 ** n, universal=2 ** n)
