@@ -271,87 +271,98 @@ def scope_atoms(names: Iterable[str]) -> dict[str, tuple[Guard, int]]:
     return atoms
 
 
+def _error(message: str, matches: list, pos: int, text: str,
+           context: str | None) -> ParseError:
+    # The error at token ``pos``, or just past the text at its end.
+    column = (matches[pos].start() + 1 if pos < len(matches)
+              else len(text) + 1)
+    return ParseError(message, line=1, column=column, context=context)
+
+
 def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],
           context: str | None) -> tuple[Guard, int, list[str]]:
-    # Recursive descent over the tokens of one `finditer` pass, building
-    # the AST as written and its mask over the scope of ``atoms`` together.
-    # An identifier outside the scope gets mask 0 and is returned.
+    # One loop over the tokens of one `finditer` pass, building the AST as
+    # written and its mask over the scope of ``atoms`` together.  An
+    # identifier outside the scope gets mask 0 and is returned.  The group
+    # being read keeps its disjuncts before the last '|' in ``ors`` and
+    # its conjuncts since then in ``ands``, each list with its mask; an
+    # open '(' saves the enclosing group's four on ``opened`` and an open
+    # '!' puts None there, so its length is the nesting depth.  Only
+    # lists and tuples of guards: a scan leaves no reference cycle.
     matches = list(_TOKEN_RE.finditer(text))
     tokens: list = [m[1] for m in matches]
     if None in tokens:
-        m = matches[tokens.index(None)]
-        raise ParseError(f"unexpected character {m[2]!r} in guard",
-                         line=1, column=m.start() + 1, context=context)
+        pos = tokens.index(None)
+        raise _error(f"unexpected character {matches[pos][2]!r} in guard",
+                     matches, pos, text, context)
     tokens.append(None)
     full = atoms["true"][1]
     undeclared: list[str] = []
-    pos = depth = 0
-
-    def fail(message: str):
-        column = (matches[pos].start() + 1 if pos < len(matches)
-                  else len(text) + 1)
-        raise ParseError(message, line=1, column=column, context=context)
-
-    def disjunction() -> tuple[Guard, int]:
-        nonlocal pos
-        g, m = conjunction()
-        if tokens[pos] != "|":
-            return g, m
-        parts = [g]
-        while tokens[pos] == "|":
-            pos += 1
-            g, gm = conjunction()
-            parts.append(g)
-            m |= gm
-        return Or(tuple(parts)), m
-
-    def conjunction() -> tuple[Guard, int]:
-        nonlocal pos
-        g, m = atom()
-        if tokens[pos] != "&":
-            return g, m
-        parts = [g]
-        while tokens[pos] == "&":
-            pos += 1
-            g, gm = atom()
-            parts.append(g)
-            m &= gm
-        return And(tuple(parts)), m
-
-    def atom() -> tuple[Guard, int]:
-        nonlocal pos, depth
+    opened: list = []
+    ors: list[Guard] = []
+    ands: list[Guard] = []
+    or_mask, and_mask = 0, full
+    pos = 0
+    while True:
+        # One atom, after the '!' and '(' that open before it.
         tok = tokens[pos]
         hit = atoms.get(tok)
-        if hit is not None:
-            pos += 1
-            return hit
-        if tok == "!" or tok == "(":
-            if depth == MAX_GUARD_DEPTH:
-                fail(f"guard nested deeper than {MAX_GUARD_DEPTH} levels")
-            depth += 1
-            pos += 1
-            if tok == "!":
-                g, m = atom()
-                g, m = Not(g), full ^ m
-            else:
-                g, m = disjunction()
-                if tokens[pos] != ")":
-                    fail("expected ')'")
+        if hit is None:
+            if tok == "!" or tok == "(":
+                if len(opened) == MAX_GUARD_DEPTH:
+                    raise _error(
+                        f"guard nested deeper than {MAX_GUARD_DEPTH} levels",
+                        matches, pos, text, context)
+                if tok == "!":
+                    opened.append(None)
+                else:
+                    opened.append((ors, or_mask, ands, and_mask))
+                    ors, or_mask, ands, and_mask = [], 0, [], full
                 pos += 1
-            depth -= 1
-            return g, m
-        if tok is None:
-            fail("unexpected end of guard")
-        if tok in ("&", "|", ")"):
-            fail(f"expected a guard atom, found {tok!r}")
-        undeclared.append(tok)
+                continue
+            if tok is None:
+                raise _error("unexpected end of guard",
+                             matches, pos, text, context)
+            if tok in ("&", "|", ")"):
+                raise _error(f"expected a guard atom, found {tok!r}",
+                             matches, pos, text, context)
+            undeclared.append(tok)
+            hit = Var(tok), 0
+        g, m = hit
         pos += 1
-        return Var(tok), 0
-
-    g, m = disjunction()
-    if tokens[pos] is not None:
-        fail(f"trailing input after guard: {tokens[pos]!r}")
-    return g, m, undeclared
+        # Close what the atom ends: the '!' before it, then, unless '&' or
+        # '|' follows, its conjunction, its disjunction and its group,
+        # whose value is in turn an atom of the enclosing group.
+        while True:
+            while opened and opened[-1] is None:
+                opened.pop()
+                g, m = Not(g), full ^ m
+            tok = tokens[pos]
+            if tok == "&":
+                ands.append(g)
+                and_mask &= m
+                break
+            if ands:
+                ands.append(g)
+                g, m = And(tuple(ands)), and_mask & m
+                ands, and_mask = [], full
+            if tok == "|":
+                ors.append(g)
+                or_mask |= m
+                break
+            if ors:
+                ors.append(g)
+                g, m = Or(tuple(ors)), or_mask | m
+            if not opened:
+                if tok is not None:
+                    raise _error(f"trailing input after guard: {tok!r}",
+                                 matches, pos, text, context)
+                return g, m, undeclared
+            if tok != ")":
+                raise _error("expected ')'", matches, pos, text, context)
+            ors, or_mask, ands, and_mask = opened.pop()
+            pos += 1
+        pos += 1
 
 
 def scan_guard(text: str, atoms: Mapping[str, tuple[Guard, int]],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracecause.errors import ParseError, UndeclaredVariable
@@ -13,6 +13,7 @@ from tracecause.guards import (FALSE, MAX_GUARD_DEPTH, TRUE, And, Not, Or,
                                parse_guard, satisfiable, scan_guard,
                                scope_atoms)
 
+import scan_reference
 from oracle import all_valuations, oracle_eval
 
 
@@ -42,16 +43,38 @@ def test_parse_keywords_and_negation():
     assert parse_guard("!(x | y)") == And((Not(Var("x")), Not(Var("y"))))
 
 
-@pytest.mark.parametrize("text,column", [
-    ("x &", 4),
-    ("& x", 1),
-    ("(x | y", 7),
-    ("x @ y", 3),
-    ("x y", 3),
+def _error_case(text, message, column, name=None):
+    # Identified by text (or name) and column, the message left out.
+    return pytest.param(text, message, column, id=f"{name or text}-{column}")
+
+
+@pytest.mark.parametrize("text,message,column", [
+    _error_case("x &", "unexpected end of guard", 4),
+    _error_case("& x", "expected a guard atom, found '&'", 1),
+    _error_case("(x | y", "expected ')'", 7),
+    _error_case("x @ y", "unexpected character '@' in guard", 3),
+    _error_case("x y", "trailing input after guard: 'y'", 3),
+    _error_case("x)", "trailing input after guard: ')'", 2),
+    _error_case("()", "expected a guard atom, found ')'", 2),
+    _error_case("!", "unexpected end of guard", 2),
+    _error_case("x |", "unexpected end of guard", 4),
+    _error_case("|", "expected a guard atom, found '|'", 1),
+    _error_case("(x) y", "trailing input after guard: 'y'", 5),
+    _error_case("x & !", "unexpected end of guard", 6),
+    # A bad character is reported before any grammar error.
+    _error_case("x ) $", "unexpected character '$' in guard", 5),
+    # Nested exactly to the limit, then trailing input.
+    _error_case("(" * MAX_GUARD_DEPTH + "x" + ")" * MAX_GUARD_DEPTH + " y",
+                "trailing input after guard: 'y'", 2 * MAX_GUARD_DEPTH + 3,
+                name="(^max x )^max y"),
+    _error_case("!" * MAX_GUARD_DEPTH + "x)",
+                "trailing input after guard: ')'", MAX_GUARD_DEPTH + 2,
+                name="!^max x)"),
 ])
-def test_parse_errors_carry_column(text, column):
+def test_parse_errors_carry_column(text, message, column):
     with pytest.raises(ParseError) as e:
         parse_guard(text)
+    assert e.value.message == message
     assert e.value.column == column
     assert e.value.line == 1
 
@@ -202,17 +225,28 @@ def _reference(text, scope):
     return "mask", guard_mask(g, scope)
 
 
+def _scanned(scan, text, scope):
+    """What ``scan`` gives: the guard as written with its mask, the parse
+    error, or the undeclared variable."""
+    try:
+        g, mask = scan(text, scope_atoms(scope), context="edge")
+    except ParseError as e:
+        return "parse", e.message, e.column
+    except UndeclaredVariable as e:
+        return "undeclared", e.args[0]
+    return "guard", g, mask
+
+
 @settings(max_examples=400, deadline=None)
 @given(_guard_texts(), st.lists(st.sampled_from(_POOL), unique=True,
                                 max_size=5))
+# Groups are kept as written, not flattened into their neighbours.
+@example("(a & b) & c | (a | b) | !!(c)", ["a", "b", "c"])
 def test_scan_agrees_with_parse_then_mask(text, scope):
-    try:
-        g, mask = scan_guard(text, scope_atoms(scope), context="edge")
-    except ParseError as e:
-        got = "parse", e.message, e.column
-    except UndeclaredVariable as e:
-        got = "undeclared", e.args[0]
-    else:
-        got = "mask", mask
+    got = _scanned(scan_guard, text, scope)
+    assert got == _scanned(scan_reference.scan_guard, text, scope)
+    if got[0] == "guard":
+        _, g, mask = got
         assert canonicalize(g) == parse_guard(text)
+        got = "mask", mask
     assert got == _reference(text, scope)
