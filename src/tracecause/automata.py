@@ -17,10 +17,11 @@ explore: it combines its members' edge rows and fills its transition
 table as it goes.  Every search is one layered walk over transition
 tables, of states or of pairs of states (`_layers`), and every witness
 is spelled back through its layers (`_spell`).  No search builds a
-product: `contains` and the horizon questions take a sequence of
-automata and walk their product on the fly, reading its tuples'
-successors off the members' tables (`_Tuples`).  A scope of n variables
-has 2^n letters.
+product: `contains` and the horizon questions also take a sequence of
+automata and walk their product on the fly, and each takes its start
+state, successor rows and bad states from one place (`_space`), which
+reads a sequence's tuples' successors off the members' tables
+(`_Tuples`).  A scope of n variables has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -531,6 +532,16 @@ class _Product(SafetyAutomaton):
         return rows
 
 
+def _union(automata: Iterable[SafetyAutomaton], names: Iterable[str] = ()
+           ) -> tuple[tuple[SafetyAutomaton, ...], tuple[str, ...]]:
+    """The members of a product, as a tuple, and the sorted union of their
+    variables and ``names``: the scope of the product's letters."""
+    members = tuple(automata)
+    if not members:
+        raise ValueError("product of zero automata is undefined")
+    return members, tuple(sorted(set(names).union(*(m.vars for m in members))))
+
+
 def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     """Synchronized product over the union variable scope.
 
@@ -547,9 +558,7 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     automaton's variables, this realizes intersection of the inverse-
     projected (cylindrified) languages with no extra construction.
     """
-    if not automata:
-        raise ValueError("product of zero automata is undefined")
-    scope = tuple(sorted(set().union(*(a.var_set for a in automata))))
+    automata, scope = _union(automata)
     member_rows = [a._edge_rows(scope) for a in automata]
     member_targets = [a._edge_targets() for a in automata]
     partial = any(None in row for rows in member_rows for row in rows.values())
@@ -584,7 +593,7 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     bads = [a.bad for a in automata]
     p.bad = frozenset(s for s in succ_of
                       if any(map(frozenset.__contains__, bads, s)))
-    p._members, p._succ, p._edges = tuple(automata), succ_of, None
+    p._members, p._succ, p._edges = automata, succ_of, None
     p._masks, p._targets, p._rows = None, None, {}
     # An incomplete product gets its table (which raises) the usual way.
     incomplete = partial and any(None in row for row in table.values())
@@ -592,19 +601,19 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     return p
 
 
-def _layers(start: State, row, drop) -> Iterator[dict[State, None]]:
+def _layers(start: State, rows: Mapping, bad) -> Iterator[dict[State, None]]:
     """The states reached from ``start`` by exactly k steps, for k = 0, 1,
-    ...: each layer a dict in discovery order, the entries of ``row(q)``
-    for each state q of the layer before, in order.  ``drop(layer)``
-    gives, as a new collection, the states a layer loses (its bad ones)
+    ...: each layer a dict in discovery order, the entries of ``rows[q]``
+    for each state q of the layer before, in order.  A layer loses the
+    states that ``bad.intersection(layer)`` gives, as a new collection,
     before it is yielded.
     An empty layer stays empty; callers decide when to stop."""
     layer = {start: None}
     while True:
-        for q in drop(layer):
+        for q in bad.intersection(layer):
             del layer[q]
         yield layer
-        layer = dict.fromkeys(chain.from_iterable(map(row, layer)))
+        layer = dict.fromkeys(chain.from_iterable(map(rows.__getitem__, layer)))
 
 
 def _nonempty_at(layers: Iterator[dict], h: int) -> bool:
@@ -639,20 +648,12 @@ def _spell(layers: list, row, scope: tuple[str, ...]) -> Trace:
     return Trace(reversed(letters))
 
 
-def _members(a: Sequence[SafetyAutomaton]) -> tuple[SafetyAutomaton, ...]:
-    members = tuple(a)
-    if not members:
-        raise ValueError("product of zero automata is undefined")
-    return members
-
-
 class _Tuples:
-    """The tuples of the members' states, for a search that walks their
-    product without building it (`contains` and the horizon walks):
-    ``t[q]`` pairs up the successors of tuple ``q`` on each letter of
-    ``scope`` (the row the product's table would hold), and ``q in t``
-    tells whether a coordinate of ``q`` is bad (whether the product's
-    state is)."""
+    """The tuples of the members' states, as `_space` walks them: ``t[q]``
+    pairs up the successors of tuple ``q`` on each letter of ``scope``
+    (the row the product's table would hold), and ``q in t`` tells
+    whether a coordinate of ``q`` is bad (whether the product's state
+    is), so one object serves as both the rows and the bad set."""
 
     __slots__ = ("_tables", "_bads")
 
@@ -667,33 +668,44 @@ class _Tuples:
     def __contains__(self, q: tuple) -> bool:
         return any(map(frozenset.__contains__, self._bads, q))
 
+    def intersection(self, states: Iterable[tuple]) -> list[tuple]:
+        return [q for q in states if q in self]
+
+
+def _space(a: SafetyAutomaton | Sequence[SafetyAutomaton],
+           scope: Iterable[str] = ()):
+    """The start state, successor rows, bad states and sorted scope of a
+    search of ``a`` over the letters of its variables and ``scope``.
+
+    For one automaton these are its initial state, its transition table
+    and its bad set.  A nonempty sequence of automata stands for their
+    `product`, which is not built: a state is a tuple of member states,
+    its row is zipped from the members' transition tables (`_Tuples`),
+    and it is bad when a coordinate is.  Its reachable tuples are then
+    the product's states in the same order, so every answer and witness
+    equals that of the search of ``product(a)``; only an incomplete
+    member differs: it raises, as its table does, even where the product
+    would never reach its missing edge."""
+    if isinstance(a, SafetyAutomaton):
+        scope = tuple(sorted(a.var_set.union(scope)))
+        return a.initial, a.transition_table(scope), a.bad, scope
+    members, scope = _union(a, scope)
+    tuples = _Tuples(members, scope)
+    return tuple(m.initial for m in members), tuples, tuples, scope
+
 
 def contains(a: SafetyAutomaton | Sequence[SafetyAutomaton],
              b: SafetyAutomaton) -> ContainmentResult:
-    """Decide L(a) <= L(b) over the union scope by synchronized BFS.
+    """Decide L(a) <= L(b) over the union scope by synchronized BFS; ``a``
+    may be a sequence of automata standing for their product (`_space`).
 
     Walks pairs one layer at a time, each pair visited once, to a
     shortest reachable pair good in ``a`` and bad in ``b``.  Pairs bad in
     ``a`` are counted but not expanded: bad states are absorbing, so no
     witness extends them.  The witness is spelled back through the
     expanded layers (`_spell`).
-
-    ``a`` may also be a nonempty sequence of automata, standing for their
-    `product`, which is not built: its states are then tuples of member
-    states, their successors read off the members' transition tables
-    (`_Tuples`), so no tuple with a bad coordinate is expanded, and
-    every field of the result equals that of ``contains(product(a),
-    b)``.  Only an incomplete member differs: it raises, as its table
-    does, even where the product would never reach its missing edge.
     """
-    if isinstance(a, SafetyAutomaton):
-        scope = tuple(sorted(a.var_set | b.var_set))
-        start, ta, bad_a = a.initial, a.transition_table(scope), a.bad
-    else:
-        members = _members(a)
-        scope = tuple(sorted(b.var_set.union(*(m.vars for m in members))))
-        start = tuple(m.initial for m in members)
-        ta = bad_a = _Tuples(members, scope)
+    start, ta, bad_a, scope = _space(a, b.vars)
     tb, bad_b = b.transition_table(scope), b.bad
 
     def row(p):
@@ -715,68 +727,42 @@ def contains(a: SafetyAutomaton | Sequence[SafetyAutomaton],
     return ContainmentResult(True, None, len(seen), len(expanded) - 1)
 
 
-def _walk(a: SafetyAutomaton | Sequence[SafetyAutomaton]):
-    """The start state, the successor ``row``, the ``drop`` of `_layers`
-    and the scope of a horizon walk of ``a``: of one automaton over its
-    own variables, or of a nonempty sequence of automata over their
-    union scope, its states the tuples of member states (`_Tuples`)."""
-    if isinstance(a, SafetyAutomaton):
-        table = a.transition_table(a.vars)
-        return a.initial, table.__getitem__, a.bad.intersection, a.vars
-    members = _members(a)
-    scope = tuple(sorted(set().union(*(m.vars for m in members))))
-    tuples = _Tuples(members, scope)
-    return (tuple(m.initial for m in members), tuples.__getitem__,
-            lambda layer: [q for q in layer if q in tuples], scope)
-
-
 def has_trace_of_length(a: SafetyAutomaton | Sequence[SafetyAutomaton],
                         h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted, decided by
-    h-step forward reachability through good states.
-
-    ``a`` may also be a nonempty sequence of automata, standing for their
-    `product`, which is not built: the walk goes over tuples of member
-    states, their successors read off the members' transition tables at
-    the union scope (`_Tuples`), and drops every tuple with a bad
-    coordinate.  So ``has_trace_of_length((a, b), h)`` asks whether some
-    trace of length ``h`` is accepted by both.  The answer equals that of
-    ``has_trace_of_length(product(a), h)``, except that an incomplete
-    member raises, as in `contains`."""
-    start, row, drop, _ = _walk(a)
-    return _nonempty_at(_layers(start, row, drop), h)
+    h-step forward reachability through good states.  For a sequence of
+    automata (`_space`), whether some trace of length ``h`` is accepted
+    by all of them."""
+    start, rows, bad, _ = _space(a)
+    return _nonempty_at(_layers(start, rows, bad), h)
 
 
 def find_trace_of_length(a: SafetyAutomaton | Sequence[SafetyAutomaton],
                          h: int) -> Trace | None:
-    """A deterministic accepted trace of length exactly ``h``, or None.
+    """A deterministic accepted trace of length exactly ``h``, or None;
+    ``a`` may be a sequence of automata, as in `has_trace_of_length`.
 
     The layered walk of `has_trace_of_length` runs to layer ``h`` (or to
     its first empty layer), and the first state of layer ``h`` is spelled
     back to the initial state (`_spell`).  All h + 1 layers are kept, so
     the horizon should be modest (it is the error-trace length in
-    practice).
-
-    ``a`` may also be a nonempty sequence of automata, walked as in
-    `has_trace_of_length` without building their `product`; the layers
-    and the speller are the same, so the witness equals that of
-    ``find_trace_of_length(product(a), h)``.  For a sequence, h = 0 and
-    a bad initial tuple are answered before any table is built, so an
-    incomplete member raises only on a walk of at least one step.
+    practice).  For a sequence, h = 0 and a bad initial tuple are
+    answered before any table is built, so an incomplete member raises
+    only on a walk of at least one step.
     """
     if h < 0:
         raise ValueError("length must be nonnegative")
     if not isinstance(a, SafetyAutomaton):
-        a = _members(a)
+        a = _union(a)[0]
         if any(m.initial in m.bad for m in a):
             return None
         if h == 0:
             return Trace()
-    start, row, drop, scope = _walk(a)
-    layers = list(islice(takewhile(bool, _layers(start, row, drop)), h + 1))
+    start, rows, bad, scope = _space(a)
+    layers = list(islice(takewhile(bool, _layers(start, rows, bad)), h + 1))
     if len(layers) <= h:
         return None
-    return _spell(layers, lambda q: tuple(row(q)), scope)
+    return _spell(layers, lambda q: tuple(rows[q]), scope)
 
 
 def has_joint_trace_of_length(a: SafetyAutomaton, b: SafetyAutomaton,

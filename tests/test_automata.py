@@ -736,6 +736,47 @@ def test_incomplete_member_raises_as_in_contains():
     assert raised > early > 0
 
 
+def test_empty_sequence_is_refused_at_every_horizon():
+    """No search takes an empty sequence: each refuses it as `product`
+    does, at every horizon, except that `find_trace_of_length` checks a
+    negative length first."""
+    zero = (ValueError, "product of zero automata is undefined")
+    assert outcome(product, []) == zero
+    assert outcome(contains, [], always_zero("x")) == zero
+    for h in [-1, *MEMBER_HORIZONS]:
+        assert outcome(has_trace_of_length, [], h) == zero
+        assert outcome(find_trace_of_length, [], h) == (
+            (ValueError, "length must be nonnegative") if h < 0 else zero)
+
+
+def test_one_member_sequence_answers_as_its_member():
+    """A sequence ``(a,)`` walks tuples ``(q,)`` where ``a`` walks states
+    ``q``: every `ContainmentResult` field, horizon answer and witness of
+    the two forms agree on complete automata, the fault-model factors of
+    seeded randsys systems and raw automata that may be doomed."""
+    factor_lists = randsys_factor_lists(random.Random(45), 40)
+    raw_lists = ([*members, b] for members, b in raw_member_cases(40))
+    holds, answers = set(), set()
+    for auts in [*factor_lists, *raw_lists]:
+        complete = [a for a in auts
+                    if "incomplete-state" not in
+                    {d.kind for d in check_wellformed(a)}]
+        for a in complete:
+            for b in complete:
+                got = contains((a,), b)
+                assert got == contains(a, b)
+                holds.add(got.holds)
+            for h in MEMBER_HORIZONS:
+                has = has_trace_of_length((a,), h)
+                assert has == has_trace_of_length(a, h)
+                answers.add((h, has))
+                if h <= 6:
+                    assert find_trace_of_length((a,), h) == \
+                        find_trace_of_length(a, h)
+    assert holds == {True, False}
+    assert {(0, True), (1, False), (10 ** 9, True), (10 ** 9, False)} <= answers
+
+
 def test_transition_table_matches_step():
     rng = random.Random(3)
     for _ in range(50):
