@@ -5,23 +5,29 @@ states; the accepted language (all finite traces whose run never enters a
 bad state) is therefore prefix-closed, the canonical shape of a safety
 property.  All operations are pure: automata are immutable after
 construction and safe to share across threads (the only internal
-mutations fill caches: per-scope edge rows and transition tables, and a
-product's guarded edges; each fill is idempotent).
+mutations fill caches: per-scope edge rows, letter classes and
+transition tables, and a product's guarded edges; each fill is
+idempotent).
 
 Guards are kept as given and printed canonicalized.  They meet letters
 once per automaton, through `guards.guard_mask`, in the edge each state
 takes on each letter of its own variables; `step`, wellformedness and
 every transition table read those rows, and a wider scope reads each
-letter's entry at its restriction.  A product never builds guards to
-explore: it combines its members' edge rows and fills its transition
-table as it goes.  Every search is one layered walk over transition
-tables, of states or of pairs of states (`_layers`), and every witness
-is spelled back through its layers (`_spell`).  No search builds a
-product: `contains` and the horizon questions also take a sequence of
-automata and walk their product on the fly, and each takes its start
-state, successor rows and bad states from one place (`_space`), which
-reads a sequence's tuples' successors off the members' tables
-(`_Tuples`).  A scope of n variables has 2^n letters.
+letter's entry at its restriction.  The same choice, read as sets of
+letters, gives each state's letter classes: one disjoint mask per edge
+taken, lifted to a wider scope once per scope.  A product never builds
+guards to explore.  It finds a bad tuple's successors by its members'
+letter classes, AND-ing them member by member (the minterms of symbolic
+automata), and a good tuple's by one pass over its members' edge rows,
+which also fills that tuple's row; only good tuples get rows, since no
+search reads a bad state's row.  Every search is one layered walk over
+successor rows, of states or of pairs of states (`_layers`), and every
+witness is spelled back through its layers (`_spell`).  No search
+builds a product: `contains` and the horizon questions also take a
+sequence of automata and walk their product on the fly, and each takes
+its start state, successor rows and bad states from one place
+(`_space`), which reads a sequence's tuples' successors off the
+members' tables (`_Tuples`).  A scope of n variables has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -238,16 +244,16 @@ class SafetyAutomaton:
     that counterexamples can name the offending state and rule.
 
     The edge masks over the automaton's own variables are computed once
-    and cached; so are, per scope, the edge taken on each letter and the
-    transition table.  A caller that already has the masks (the parser,
-    which scans each guard over its owner's variables) hands them over
-    as ``masks``, one per edge in edge order; a guard that has a mask over
-    ``vars`` mentions no other variable, so its scope is not walked again.
-    `product` fills its result's table while exploring.
+    and cached; so are, per scope, the edge taken on each letter, the
+    letters each edge is taken on, and the transition table.  A caller
+    that already has the masks (the parser, which scans each guard over
+    its owner's variables) hands them over as ``masks``, one per edge in
+    edge order; a guard that has a mask over ``vars`` mentions no other
+    variable, so its scope is not walked again.
     """
 
     __slots__ = ("vars", "states", "initial", "bad", "edges", "_masks",
-                 "_targets", "_rows", "_tables")
+                 "_targets", "_classes", "_rows", "_tables")
 
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
@@ -294,6 +300,7 @@ class SafetyAutomaton:
             None if masks is None
             else {q: tuple(masks[q]) for q in state_tuple})
         self._targets: dict[State, tuple[State, ...]] | None = None
+        self._classes: dict[tuple[str, ...], dict] = {}  # see `_edge_classes`
         self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
 
@@ -362,6 +369,49 @@ class SafetyAutomaton:
                            for q in self.states}
         return self._masks
 
+    def _edge_classes(self, scope: tuple[str, ...]) -> dict[State, tuple]:
+        """Per state, each edge taken on some letter of the sorted
+        ``scope``, in edge order, as (edge index, target, mask of those
+        letters), index and target as 1-tuples, so that a branch of
+        `_branches` grows by concatenation.  These are the letter classes
+        of `_edge_rows`: pairwise disjoint, the first enabled edge winning.
+        Only the classes over ``vars`` read guards; a wider scope lifts
+        each mask to it (`_projection`).  Cached."""
+        classes = self._classes.get(scope)
+        if classes is None:
+            if scope == self.vars:
+                classes = self._letter_classes()
+            else:
+                # Letter i of ``scope`` takes bit index[i] of an own mask;
+                # int() reads the lifted bits most significant first.
+                index = _projection(scope, self.var_set)[::-1]
+                width = 1 << len(self.vars)
+
+                def lift(m):
+                    bits = format(m, f"0{width}b")[::-1]
+                    return int("".join(map(bits.__getitem__, index)), 2)
+
+                classes = {q: tuple((k, t, lift(m)) for k, t, m in c)
+                           for q, c in self._edge_classes(self.vars).items()}
+            self._classes[scope] = classes
+        return classes
+
+    def _letter_classes(self) -> dict[State, tuple]:
+        """`_edge_classes` over ``vars`` uncached, from the edge masks: each
+        edge keeps the letters that no earlier edge takes."""
+        masks, targets = self._edge_masks(), self._edge_targets()
+        full = (1 << (1 << len(self.vars))) - 1
+        classes = {}
+        for q in self.states:
+            free, c = full, []
+            for k, m in enumerate(masks[q]):
+                m &= free
+                if m:
+                    free ^= m
+                    c.append(((k,), (targets[q][k],), m))
+            classes[q] = tuple(c)
+        return classes
+
     def _letter_rows(self) -> dict[State, tuple[int | None, ...]]:
         """`_edge_rows` over ``vars`` uncached, from the edge masks, in
         time linear in the number of letters: each edge's letters are
@@ -404,6 +454,11 @@ class SafetyAutomaton:
                 tbl[q] = tuple(map(targets[q].__getitem__, rows[q]))
             self._tables[scope] = tbl
         return tbl
+
+    def _search_rows(self, scope: tuple[str, ...]) -> Mapping:
+        """The successor rows a search over the sorted ``scope`` reads:
+        the transition table."""
+        return self.transition_table(scope)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SafetyAutomaton):
@@ -493,11 +548,13 @@ def run(a: SafetyAutomaton, t: Trace) -> RunResult:
 class _Product(SafetyAutomaton):
     """A reachable product kept as its members and, per state, the
     successor of each tuple of member edges taken together on some letter
-    (lexicographic order).  That is all its edge count, edge rows and
-    transition tables need; the guarded edges are built from the members
-    on first access."""
+    (lexicographic order).  That is all its edge count, edge rows, letter
+    classes and transition tables need; the guarded edges are built from
+    the members on first access.  `product` leaves its transition table
+    unbuilt and keeps, in ``_good``, the rows of its good states only:
+    the rows a search of it at its own scope reads (`_search_rows`)."""
 
-    __slots__ = ("_members", "_succ", "_edges")
+    __slots__ = ("_members", "_succ", "_edges", "_good")
 
     @property
     def edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
@@ -531,6 +588,21 @@ class _Product(SafetyAutomaton):
                 *[r[q] for r, q in zip(member_rows, s)])))
         return rows
 
+    def _letter_classes(self) -> dict[State, tuple]:
+        """Letter classes from the members' classes: the letters of an
+        edge are those its tuple of member edges takes together."""
+        classes = [a._edge_classes(self.vars) for a in self._members]
+        return {s: tuple(((k,), (t,), m) for k, (_, t, m)
+                         in enumerate(_branches(classes, s)))
+                for s in self._succ}
+
+    def _search_rows(self, scope: tuple[str, ...]) -> Mapping:
+        """At its own scope a complete product hands a search the rows of
+        its good states only; no search reads a bad state's row."""
+        if scope == self.vars and self._good is not None:
+            return self._good
+        return self.transition_table(scope)
+
 
 def _union(automata: Iterable[SafetyAutomaton], names: Iterable[str] = ()
            ) -> tuple[tuple[SafetyAutomaton, ...], tuple[str, ...]]:
@@ -542,62 +614,95 @@ def _union(automata: Iterable[SafetyAutomaton], names: Iterable[str] = ()
     return members, tuple(sorted(set(names).union(*(m.vars for m in members))))
 
 
+def _branches(classes: Sequence[Mapping], s: tuple
+              ) -> Sequence[tuple[tuple, tuple, int]]:
+    """The tuples of edges that the states ``s`` of some automata take
+    together on some letter, in lexicographic order, each with its tuple
+    of targets and the mask of those letters.  Automaton by automaton,
+    each of its state's letter classes (``classes``, from `_edge_classes`
+    over one scope) splits every branch so far, and a branch whose mask
+    is empty is dropped at once."""
+    pairs = zip(classes, s)
+    c, q = next(pairs)
+    branches = c[q]
+    for c, q in pairs:
+        branches = [(ks + k, ts + t, both) for ks, ts, m in branches
+                    for k, t, e in c[q] if (both := m & e)]
+    return branches
+
+
 def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     """Synchronized product over the union variable scope.
 
     States are the reachable tuples of member states, a tuple being bad
-    iff any coordinate is.  The exploration reads only the members' edge
-    rows: the successor on a letter is the tuple of the targets of the
-    member edges taken on it, and the product's transition table over the
-    union scope is filled as states are found.  Its edges, one per tuple
-    of member edges taken together on some letter, in lexicographic
-    order and guarded by the plain conjunction of the member guards, are
-    built only when ``edges`` is read.  Each member follows its first
-    enabled edge; on a letter where some member has none, the product
-    state has none either.  Since every guard mentions only its own
-    automaton's variables, this realizes intersection of the inverse-
-    projected (cylindrified) languages with no extra construction.
+    iff any coordinate is, found breadth first.  Each state's successors
+    are keyed by the tuples of member edges taken together on some
+    letter, in lexicographic order.  A good tuple's come from one pass
+    over the letters of its members' edge rows, which also fills the
+    tuple's successor row, the row a search reads
+    (`_Product._search_rows`).  A bad tuple's come from its members'
+    letter classes (`_branches`), and it gets no row: no search reads
+    one.  The transition table is built only on request, and the edges,
+    guarded by the plain conjunction of the member guards, only when
+    ``edges`` is read.  Each member follows its first enabled edge; on a
+    letter where some member has none, the product state has none
+    either.  Since every guard mentions only its own automaton's
+    variables, this realizes intersection of the inverse-projected
+    (cylindrified) languages with no extra construction.
     """
     automata, scope = _union(automata)
     member_rows = [a._edge_rows(scope) for a in automata]
     member_targets = [a._edge_targets() for a in automata]
+    bads = [a.bad for a in automata]
     partial = any(None in row for rows in member_rows for row in rows.values())
+    full = (1 << (1 << len(scope))) - 1
+    classes = [a._edge_classes(scope) for a in automata]
 
     init = tuple(a.initial for a in automata)
     # Reachable states in discovery order, each with its successor per
     # tuple of member edges (None until the state is explored).
     succ_of: dict[State, dict | None] = {init: None}
-    table: dict[State, tuple[State | None, ...]] = {}
+    good: dict[State, tuple[State | None, ...]] = {}
+    bad = []
+    gap = False  # whether some state has no edge on some letter
     queue = deque([init])
     while queue:
         s = queue.popleft()
-        # Member edge indices taken on each letter; None marks a letter on
-        # which some member has no edge.
-        taken = list(zip(*[r[q] for r, q in zip(member_rows, s)]))
-        targets = [t[q] for t, q in zip(member_targets, s)]
-        combos = set(taken)
-        if partial:
-            combos = [c for c in combos if None not in c]
-        succ = {}
-        for combo in sorted(combos):
-            t = succ[combo] = tuple(map(getitem, targets, combo))
+        if any(map(frozenset.__contains__, bads, s)):
+            bad.append(s)
+            branches = _branches(classes, s)
+            succ = {ks: ts for ks, ts, _ in branches}
+            # A state has no edge on some letter exactly when its branches'
+            # masks, which are disjoint, do not sum to every letter.
+            gap = gap or partial and sum(m for _, _, m in branches) != full
+        else:
+            # Member edge indices taken on each letter; None marks a letter
+            # on which some member has no edge.
+            taken = list(zip(*[r[q] for r, q in zip(member_rows, s)]))
+            combos = set(taken)
+            if partial:
+                n = len(combos)
+                combos = [c for c in combos if None not in c]
+                gap = gap or len(combos) < n
+            targets = [t[q] for t, q in zip(member_targets, s)]
+            succ = {combo: tuple(map(getitem, targets, combo))
+                    for combo in sorted(combos)}
+            good[s] = tuple(map(succ.get, taken))
+        succ_of[s] = succ
+        for t in succ.values():
             if t not in succ_of:
                 succ_of[t] = None
                 queue.append(t)
-        succ_of[s] = succ
-        table[s] = tuple(map(succ.get, taken))
 
     # Built in place: the parts are already normalized and checked.
     p = _Product.__new__(_Product)
     p.vars, p.states, p.initial = scope, tuple(succ_of), init
-    bads = [a.bad for a in automata]
-    p.bad = frozenset(s for s in succ_of
-                      if any(map(frozenset.__contains__, bads, s)))
+    p.bad = frozenset(bad)
     p._members, p._succ, p._edges = automata, succ_of, None
-    p._masks, p._targets, p._rows = None, None, {}
-    # An incomplete product gets its table (which raises) the usual way.
-    incomplete = partial and any(None in row for row in table.values())
-    p._tables = {} if incomplete else {scope: table}
+    p._masks, p._targets = None, None
+    p._classes, p._rows, p._tables = {}, {}, {}
+    # An incomplete product hands searches its table (which raises).
+    p._good = None if gap else good
     return p
 
 
@@ -678,17 +783,19 @@ def _space(a: SafetyAutomaton | Sequence[SafetyAutomaton],
     search of ``a`` over the letters of its variables and ``scope``.
 
     For one automaton these are its initial state, its transition table
-    and its bad set.  A nonempty sequence of automata stands for their
-    `product`, which is not built: a state is a tuple of member states,
-    its row is zipped from the members' transition tables (`_Tuples`),
-    and it is bad when a coordinate is.  Its reachable tuples are then
-    the product's states in the same order, so every answer and witness
-    equals that of the search of ``product(a)``; only an incomplete
-    member differs: it raises, as its table does, even where the product
-    would never reach its missing edge."""
+    (for a product at its own scope, only its good states' rows:
+    `_Product._search_rows`) and its bad set.  A nonempty sequence of
+    automata stands for their `product`, which is not built: a state is
+    a tuple of member states, its row is zipped from the members'
+    transition tables (`_Tuples`), and it is bad when a coordinate is.
+    Its reachable tuples are then the product's states in the same
+    order, so every answer and witness equals that of the search of
+    ``product(a)``; only an incomplete member differs: it raises, as its
+    table does, even where the product would never reach its missing
+    edge."""
     if isinstance(a, SafetyAutomaton):
         scope = tuple(sorted(a.var_set.union(scope)))
-        return a.initial, a.transition_table(scope), a.bad, scope
+        return a.initial, a._search_rows(scope), a.bad, scope
     members, scope = _union(a, scope)
     tuples = _Tuples(members, scope)
     return tuple(m.initial for m in members), tuples, tuples, scope

@@ -287,6 +287,135 @@ def test_product_with_nondeterministic_member_takes_first_edge():
     assert [s for s, _ in p.states] == ["s", "s"]
 
 
+def test_gap_at_bad_tuples_only_refuses_every_search():
+    # "falls" goes bad on x=1 and, once bad, has no edge where x=1.  So the
+    # product's only gaps sit at bad tuples, whose rows no search reads;
+    # every search still refuses it, as its table does.
+    falls = SafetyAutomaton(["x"], ["g", "b"], "g", ["b"], {
+        "g": [(Not(Var("x")), "g"), (Var("x"), "b")],
+        "b": [(Not(Var("x")), "b")]})
+    p = product([falls, always_zero("y")])
+    gaps = {d.subject for d in check_wellformed(p)
+            if d.kind == "incomplete-state"}
+    assert gaps == {str(s) for s in p.states if s[0] == "b"}
+    assert all(s in p.bad for s in p.states if str(s) in gaps)
+    with pytest.raises(RuntimeError, match="incomplete"):
+        p.transition_table(p.vars)
+    spec = universal_automaton(p.vars)
+    with pytest.raises(RuntimeError, match="incomplete"):
+        contains(p, spec)
+    for h in (0, 1, 3, 10 ** 9):
+        with pytest.raises(RuntimeError, match="incomplete"):
+            has_trace_of_length(p, h)
+        with pytest.raises(RuntimeError, match="incomplete"):
+            find_trace_of_length(p, h)
+
+
+def test_searches_of_a_product_refuse_exactly_its_gaps():
+    """Over random incomplete members, every search of the built product
+    raises `RuntimeError` exactly when some product state has no edge on
+    some letter (`check_wellformed`, which reads the guarded edges), be
+    that state good or bad."""
+    rng = random.Random(48)
+    scopes = [["u"], ["v"], ["u", "v"], ["v", "w"]]
+    refused = at_bad_only = answered = 0
+    for _ in range(150):
+        members = [random_raw_automaton(rng, rng.choice(scopes), 0.1)
+                   for _ in range(rng.randint(1, 3))]
+        p = product(members)
+        gaps = {d.subject for d in check_wellformed(p)
+                if d.kind == "incomplete-state"}
+        spec = universal_automaton(p.vars)
+        got = [outcome(contains, p, spec),
+               *(outcome(walk, p, h) for h in (0, 2)
+                 for walk in (has_trace_of_length, find_trace_of_length))]
+        if gaps:
+            assert all(isinstance(g, tuple) and g[0] is RuntimeError
+                       for g in got)
+            refused += 1
+            at_bad_only += all(s in p.bad for s in p.states
+                               if str(s) in gaps)
+        else:
+            assert not any(isinstance(g, tuple) for g in got)
+            answered += 1
+    assert refused and at_bad_only and answered
+
+
+def test_searches_build_no_product_table():
+    """A search of a product at its own scope reads only the rows of its
+    good states, which `product` fills, and builds no transition table;
+    the answers equal those of the member sequence.  The table built
+    afterwards is complete: every state's row, bad ones included, holds
+    the members' steps."""
+    rng = random.Random(46)
+    for auts in randsys_factor_lists(rng, 40):
+        p = product(auts)
+        assert set(p._good) == set(p.states) - p.bad
+        for spec in (*auts, always_zero(p.vars[0], p.vars)):
+            assert contains(p, spec) == contains(auts, spec)
+        for h in MEMBER_HORIZONS:
+            assert has_trace_of_length(p, h) == has_trace_of_length(auts, h)
+            if h <= 6:
+                assert find_trace_of_length(p, h) == \
+                    find_trace_of_length(auts, h)
+        assert p._tables == {}
+        table = p.transition_table(p.vars)
+        letters = enumerate_valuations(p.vars)
+        for s in p.states:
+            assert table[s] == tuple(
+                tuple(a.step(q, v) for a, q in zip(auts, s)) for v in letters)
+
+
+def class_rows(a, scope):
+    """``a._edge_classes(scope)`` spelled as edge rows, each class's
+    target checked against the edge's."""
+    targets = a._edge_targets()
+    rows = {}
+    for q, classes in a._edge_classes(scope).items():
+        row = [None] * (1 << len(scope))
+        for (k,), (t,), m in classes:
+            assert t == targets[q][k]
+            for i in range(len(row)):
+                if m >> i & 1:
+                    assert row[i] is None  # the classes are disjoint
+                    row[i] = k
+        rows[q] = tuple(row)
+    return rows
+
+
+def test_letter_classes_of_members_over_part_of_the_scope():
+    """Members over a strict part of the scope, some nondeterministic, some
+    of them products: their letter classes, lifted to the scope, spell
+    the per-letter reference rows, and the product explored through them
+    matches the members' steps and the eager build."""
+    rng = random.Random(47)
+    names = [f"v{i}" for i in range(5)]
+    narrow = overlapping = bad = 0
+    for _ in range(60):
+        auts = []
+        for _ in range(rng.randint(1, 3)):
+            r = random_guarded_automaton(
+                rng, rng.sample(names, rng.randint(1, 3)))
+            # Complete it, keeping any overlap, and mark some states bad.
+            edges = {q: [*r.edges[q], (TRUE, rng.choice(r.states))]
+                     for q in r.states}
+            auts.append(SafetyAutomaton(
+                r.vars, r.states, r.initial,
+                rng.sample(r.states[1:], rng.randint(0, len(r.states) - 1)),
+                edges))
+        if rng.random() < 0.3:
+            auts[0] = product([auts[0], always_zero(rng.choice(names))])
+        p = assert_product_matches_members(auts)
+        for a in auts:
+            assert class_rows(a, p.vars) == reference_edge_rows(a, p.vars)
+            narrow += a.vars != p.vars
+            overlapping += "nondeterministic-state" in {
+                d.kind for d in check_wellformed(a)}
+        assert class_rows(p, tuple(names)) == p._edge_rows(tuple(names))
+        bad += bool(p.bad)
+    assert narrow and overlapping and bad
+
+
 def test_transition_table_is_built_once_per_scope(monkeypatch):
     calls = []
     targets = SafetyAutomaton._edge_targets
