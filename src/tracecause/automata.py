@@ -5,29 +5,29 @@ states; the accepted language (all finite traces whose run never enters a
 bad state) is therefore prefix-closed, the canonical shape of a safety
 property.  All operations are pure: automata are immutable after
 construction and safe to share across threads (the only internal
-mutations fill caches: per-scope edge rows, letter classes and
+mutations fill caches: edge rows, per-scope letter classes and
 transition tables, and a product's guarded edges; each fill is
 idempotent).
 
 Guards are kept as given and printed canonicalized.  They meet letters
 once per automaton, through `guards.guard_mask`, in the edge each state
-takes on each letter of its own variables; `step`, wellformedness and
-every transition table read those rows, and a wider scope reads each
-letter's entry at its restriction.  The same choice, read as sets of
-letters, gives each state's letter classes: one disjoint mask per edge
-taken, lifted to a wider scope once per scope.  A product never builds
-guards to explore.  It finds a bad tuple's successors by its members'
+takes on each letter of its own variables (its edge rows, the only
+ones kept); `step`, wellformedness and every transition table read
+those rows, and a table over a wider scope reads each letter's entry
+at its restriction.  The same choice, read as sets of letters, gives
+each state's letter classes: one disjoint mask per edge taken, lifted
+to a wider scope once per scope.  A product never builds guards to
+explore, nor rows: it finds each tuple's successors by its members'
 letter classes, AND-ing them member by member (the minterms of symbolic
-automata), and a good tuple's by one pass over its members' edge rows,
-which also fills that tuple's row; only good tuples get rows, since no
-search reads a bad state's row.  Every search is one layered walk over
-successor rows, of states or of pairs of states (`_layers`), and every
-witness is spelled back through its layers (`_spell`).  No search
-builds a product: `contains` and the horizon questions also take a
-sequence of automata and walk their product on the fly, and each takes
-its start state, successor rows and bad states from one place
-(`_space`), which reads a sequence's tuples' successors off the
-members' tables (`_Tuples`).  A scope of n variables has 2^n letters.
+automata).  Every search is one layered walk over successor rows, of
+states or of pairs of states (`_layers`), and every witness is spelled
+back through its layers (`_spell`).  No search builds a product:
+`contains` and the horizon questions also take a sequence of automata
+and walk their product on the fly, and each takes its start state,
+successor rows and bad states from one place (`_space`), which reads a
+sequence's tuples' successors off the members' tables (`_Tuples`) and
+walks a built product of complete members as its members.  A scope of
+n variables has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -243,9 +243,9 @@ class SafetyAutomaton:
     `check_wellformed`, which reports diagnostics instead of raising so
     that counterexamples can name the offending state and rule.
 
-    The edge masks over the automaton's own variables are computed once
-    and cached; so are, per scope, the edge taken on each letter, the
-    letters each edge is taken on, and the transition table.  A caller
+    The edge masks and edge rows over the automaton's own variables are
+    computed once and cached; so are, per scope, the letters each edge is
+    taken on and the transition table.  A caller
     that already has the masks (the parser, which scans each guard over
     its owner's variables) hands them over as ``masks``, one per edge in
     edge order; a guard that has a mask over ``vars`` mentions no other
@@ -301,7 +301,7 @@ class SafetyAutomaton:
             else {q: tuple(masks[q]) for q in state_tuple})
         self._targets: dict[State, tuple[State, ...]] | None = None
         self._classes: dict[tuple[str, ...], dict] = {}  # see `_edge_classes`
-        self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
+        self._rows: dict[State, tuple] | None = None  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
 
     @property
@@ -318,7 +318,7 @@ class SafetyAutomaton:
 
     def step(self, q: State, v: Mapping[str, int]) -> State:
         """Target of the first enabled edge from ``q`` on the restriction
-        of ``v`` to ``vars``, read off the edge rows over ``vars``.  Raises
+        of ``v`` to ``vars``, read off the edge rows.  Raises
         `DomainMismatch` if ``v`` lacks one of ``vars``, and `RuntimeError`
         where no edge is enabled (the automaton is incomplete)."""
         i = 0
@@ -326,7 +326,7 @@ class SafetyAutomaton:
             if name not in v:
                 raise DomainMismatch(f"valuation lacks variable {name!r}")
             i = i << 1 | v[name]
-        k = self._edge_rows(self.vars)[q][i]
+        k = self._edge_rows()[q][i]
         if k is None:
             raise RuntimeError(
                 f"no enabled edge from state {q!r} (automaton incomplete)")
@@ -340,26 +340,13 @@ class SafetyAutomaton:
                              for q, es in self.edges.items()}
         return self._targets
 
-    def _edge_rows(self, scope: tuple[str, ...]
-                   ) -> dict[State, tuple[int | None, ...]]:
-        """Per state, the index of the edge taken on each letter of the
-        sorted ``scope`` (None where no edge is enabled); the first enabled
-        edge wins.  Only the rows over ``vars`` read guards; a wider scope
-        maps each letter to its restriction (`_projection`).  Cached."""
-        rows = self._rows.get(scope)
-        if rows is None:
-            if not self.var_set <= set(scope):
-                raise DomainMismatch(
-                    f"scope {list(scope)} does not cover automaton variables "
-                    f"{list(self.vars)}")
-            if scope == self.vars:
-                rows = self._rows[scope] = self._letter_rows()
-            else:
-                index = _projection(scope, self.var_set)
-                rows = self._rows[scope] = {
-                    q: tuple(map(r.__getitem__, index))
-                    for q, r in self._edge_rows(self.vars).items()}
-        return rows
+    def _edge_rows(self) -> dict[State, tuple[int | None, ...]]:
+        """Per state, the index of the edge taken on each letter of
+        ``vars`` (None where no edge is enabled); the first enabled edge
+        wins.  Cached."""
+        if self._rows is None:
+            self._rows = self._letter_rows()
+        return self._rows
 
     def _edge_masks(self) -> dict[State, tuple[int, ...]]:
         """Per state, the `guard_mask` of each edge over ``vars``.  Cached."""
@@ -413,10 +400,10 @@ class SafetyAutomaton:
         return classes
 
     def _letter_rows(self) -> dict[State, tuple[int | None, ...]]:
-        """`_edge_rows` over ``vars`` uncached, from the edge masks, in
-        time linear in the number of letters: each edge's letters are
-        peeled off its mask one 64-bit word at a time (peeling the whole
-        mask would copy a 2^n-bit integer per letter)."""
+        """`_edge_rows` uncached, from the edge masks, in time linear in
+        the number of letters: each edge's letters are peeled off its mask
+        one 64-bit word at a time (peeling the whole mask would copy a
+        2^n-bit integer per letter)."""
         masks = self._edge_masks()
         nletters = 1 << len(self.vars)
         rows = {}
@@ -439,26 +426,30 @@ class SafetyAutomaton:
     def transition_table(self, scope: Iterable[str]) -> dict[State, tuple[State, ...]]:
         """Per-state successor rows indexed by the canonical valuation order
         of ``scope`` (which must cover the automaton's variables), read
-        off the edge rows.  Cached per scope: every call with the same
-        scope returns the same dict, which callers must not modify."""
+        off the edge rows; a wider scope reads each letter's entry at its
+        restriction (`_projection`).  Cached per scope: every call with
+        the same scope returns the same dict, which callers must not
+        modify."""
         scope = tuple(sorted(scope))
         tbl = self._tables.get(scope)
         if tbl is None:
-            rows = self._edge_rows(scope)
-            targets = self._edge_targets()
+            if not self.var_set <= set(scope):
+                raise DomainMismatch(
+                    f"scope {list(scope)} does not cover automaton variables "
+                    f"{list(self.vars)}")
+            rows, targets = self._edge_rows(), self._edge_targets()
+            index = None if scope == self.vars else _projection(
+                scope, self.var_set)
             tbl = {}
             for q in self.states:
                 if None in rows[q]:
                     raise RuntimeError(f"no enabled edge from state {q!r} "
                                        "(automaton incomplete)")
-                tbl[q] = tuple(map(targets[q].__getitem__, rows[q]))
+                row = tuple(map(targets[q].__getitem__, rows[q]))
+                tbl[q] = row if index is None else tuple(
+                    map(row.__getitem__, index))
             self._tables[scope] = tbl
         return tbl
-
-    def _search_rows(self, scope: tuple[str, ...]) -> Mapping:
-        """The successor rows a search over the sorted ``scope`` reads:
-        the transition table."""
-        return self.transition_table(scope)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SafetyAutomaton):
@@ -550,11 +541,11 @@ class _Product(SafetyAutomaton):
     successor of each tuple of member edges taken together on some letter
     (lexicographic order).  That is all its edge count, edge rows, letter
     classes and transition tables need; the guarded edges are built from
-    the members on first access.  `product` leaves its transition table
-    unbuilt and keeps, in ``_good``, the rows of its good states only:
-    the rows a search of it at its own scope reads (`_search_rows`)."""
+    the members on first access.  ``_complete`` tells whether every
+    member is complete; a search then walks the members (`_space`) and
+    builds no row of the product."""
 
-    __slots__ = ("_members", "_succ", "_edges", "_good")
+    __slots__ = ("_members", "_succ", "_edges", "_complete")
 
     @property
     def edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
@@ -578,14 +569,17 @@ class _Product(SafetyAutomaton):
         return self._targets
 
     def _letter_rows(self) -> dict[State, tuple[int | None, ...]]:
-        """Edge rows from the members' rows: the edge taken on a letter is
-        the rank of the tuple of member edges taken on it."""
-        member_rows = [a._edge_rows(self.vars) for a in self._members]
+        """Edge rows from the members' rows, each letter read at its
+        restriction (`_projection`): the edge taken on a letter is the
+        rank of the tuple of member edges taken on it."""
+        member_rows = [a._edge_rows() for a in self._members]
+        index = [_projection(self.vars, a.var_set) for a in self._members]
         rows = {}
         for s, succ in self._succ.items():
-            index = {combo: k for k, combo in enumerate(succ)}
-            rows[s] = tuple(map(index.get, zip(
-                *[r[q] for r, q in zip(member_rows, s)])))
+            rank = {combo: k for k, combo in enumerate(succ)}
+            rows[s] = tuple(map(rank.get, zip(
+                *[map(r[q].__getitem__, i)
+                  for r, q, i in zip(member_rows, s, index)])))
         return rows
 
     def _letter_classes(self) -> dict[State, tuple]:
@@ -595,13 +589,6 @@ class _Product(SafetyAutomaton):
         return {s: tuple(((k,), (t,), m) for k, (_, t, m)
                          in enumerate(_branches(classes, s)))
                 for s in self._succ}
-
-    def _search_rows(self, scope: tuple[str, ...]) -> Mapping:
-        """At its own scope a complete product hands a search the rows of
-        its good states only; no search reads a bad state's row."""
-        if scope == self.vars and self._good is not None:
-            return self._good
-        return self.transition_table(scope)
 
 
 def _union(automata: Iterable[SafetyAutomaton], names: Iterable[str] = ()
@@ -637,58 +624,28 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     States are the reachable tuples of member states, a tuple being bad
     iff any coordinate is, found breadth first.  Each state's successors
     are keyed by the tuples of member edges taken together on some
-    letter, in lexicographic order.  A good tuple's come from one pass
-    over the letters of its members' edge rows, which also fills the
-    tuple's successor row, the row a search reads
-    (`_Product._search_rows`).  A bad tuple's come from its members'
-    letter classes (`_branches`), and it gets no row: no search reads
-    one.  The transition table is built only on request, and the edges,
-    guarded by the plain conjunction of the member guards, only when
-    ``edges`` is read.  Each member follows its first enabled edge; on a
-    letter where some member has none, the product state has none
-    either.  Since every guard mentions only its own automaton's
-    variables, this realizes intersection of the inverse-projected
-    (cylindrified) languages with no extra construction.
+    letter, in lexicographic order, and found by its members' letter
+    classes (`_branches`).  The edge rows and transition table are built
+    only on request, and the edges, guarded by the plain conjunction of
+    the member guards, only when ``edges`` is read.  Each member follows
+    its first enabled edge; on a letter where some member has none, the
+    product state has none either.  Since every guard mentions only its
+    own automaton's variables, this realizes intersection of the
+    inverse-projected (cylindrified) languages with no extra
+    construction.
     """
     automata, scope = _union(automata)
-    member_rows = [a._edge_rows(scope) for a in automata]
-    member_targets = [a._edge_targets() for a in automata]
-    bads = [a.bad for a in automata]
-    partial = any(None in row for rows in member_rows for row in rows.values())
-    full = (1 << (1 << len(scope))) - 1
     classes = [a._edge_classes(scope) for a in automata]
+    bads = [a.bad for a in automata]
 
     init = tuple(a.initial for a in automata)
     # Reachable states in discovery order, each with its successor per
     # tuple of member edges (None until the state is explored).
     succ_of: dict[State, dict | None] = {init: None}
-    good: dict[State, tuple[State | None, ...]] = {}
-    bad = []
-    gap = False  # whether some state has no edge on some letter
     queue = deque([init])
     while queue:
         s = queue.popleft()
-        if any(map(frozenset.__contains__, bads, s)):
-            bad.append(s)
-            branches = _branches(classes, s)
-            succ = {ks: ts for ks, ts, _ in branches}
-            # A state has no edge on some letter exactly when its branches'
-            # masks, which are disjoint, do not sum to every letter.
-            gap = gap or partial and sum(m for _, _, m in branches) != full
-        else:
-            # Member edge indices taken on each letter; None marks a letter
-            # on which some member has no edge.
-            taken = list(zip(*[r[q] for r, q in zip(member_rows, s)]))
-            combos = set(taken)
-            if partial:
-                n = len(combos)
-                combos = [c for c in combos if None not in c]
-                gap = gap or len(combos) < n
-            targets = [t[q] for t, q in zip(member_targets, s)]
-            succ = {combo: tuple(map(getitem, targets, combo))
-                    for combo in sorted(combos)}
-            good[s] = tuple(map(succ.get, taken))
-        succ_of[s] = succ
+        succ = succ_of[s] = {ks: ts for ks, ts, _ in _branches(classes, s)}
         for t in succ.values():
             if t not in succ_of:
                 succ_of[t] = None
@@ -697,12 +654,15 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     # Built in place: the parts are already normalized and checked.
     p = _Product.__new__(_Product)
     p.vars, p.states, p.initial = scope, tuple(succ_of), init
-    p.bad = frozenset(bad)
+    p.bad = frozenset(s for s in succ_of
+                      if any(map(frozenset.__contains__, bads, s)))
     p._members, p._succ, p._edges = automata, succ_of, None
-    p._masks, p._targets = None, None
-    p._classes, p._rows, p._tables = {}, {}, {}
-    # An incomplete product hands searches its table (which raises).
-    p._good = None if gap else good
+    p._masks, p._targets, p._rows = None, None, None
+    p._classes, p._tables = {}, {}
+    # A member is complete when its letter classes cover every letter.
+    full = (1 << (1 << len(scope))) - 1
+    p._complete = all(sum(m for _, _, m in c) == full
+                      for cs in classes for c in cs.values())
     return p
 
 
@@ -783,19 +743,23 @@ def _space(a: SafetyAutomaton | Sequence[SafetyAutomaton],
     search of ``a`` over the letters of its variables and ``scope``.
 
     For one automaton these are its initial state, its transition table
-    (for a product at its own scope, only its good states' rows:
-    `_Product._search_rows`) and its bad set.  A nonempty sequence of
-    automata stands for their `product`, which is not built: a state is
-    a tuple of member states, its row is zipped from the members'
-    transition tables (`_Tuples`), and it is bad when a coordinate is.
-    Its reachable tuples are then the product's states in the same
-    order, so every answer and witness equals that of the search of
-    ``product(a)``; only an incomplete member differs: it raises, as its
-    table does, even where the product would never reach its missing
-    edge."""
+    and its bad set.  A nonempty sequence of automata stands for their
+    `product`, which is not built: a state is a tuple of member states,
+    its row is zipped from the members' transition tables (`_Tuples`),
+    and it is bad when a coordinate is.  Its reachable tuples are then
+    the product's states in the same order, so every answer and witness
+    equals that of the search of ``product(a)``; only an incomplete
+    member differs: it raises, as its table does, even where the product
+    would never reach its missing edge.  So a built product whose
+    members are all complete is walked as its members, with its own bad
+    set, and builds no row; one with an incomplete member is walked
+    through its table, which raises exactly at its gaps."""
+    if isinstance(a, _Product) and a._complete:
+        start, rows, _, scope = _space(a._members, scope)
+        return start, rows, a.bad, scope
     if isinstance(a, SafetyAutomaton):
         scope = tuple(sorted(a.var_set.union(scope)))
-        return a.initial, a._search_rows(scope), a.bad, scope
+        return a.initial, a.transition_table(scope), a.bad, scope
     members, scope = _union(a, scope)
     tuples = _Tuples(members, scope)
     return tuple(m.initial for m in members), tuples, tuples, scope

@@ -20,9 +20,10 @@ manifestation is bounded at the error-trace length, where "observed
 behavior" is meaningful.  A universal verdict additionally requires the
 combined language to be realizable at that length; an unrealizable
 operand yields holds=False with vacuous=True rather than a vacuous truth.
-A containment question builds its operand, the product of the factors;
-a universal one builds none: its walks to the horizon read the factors'
-transition tables (`_decide`).
+A containment question still builds its operand, the product of the
+factors, for its `stats` sizes and bad set, but walks it through the
+factors' transition tables; a universal one builds none: its walks to
+the horizon read those tables too (`_decide`).
 
 Everything here is a pure function of immutable inputs; candidate sets
 could be evaluated concurrently, but results are reduced in the fixed
@@ -351,10 +352,12 @@ def _decide(ctx: _Context, kinds: tuple[FaultModelKind, ...],
     (``holds``, as mitigation reads it), else universal manifestation at
     the error-trace length.  Returns the verdict and the sizes of its
     `SetMetrics` row.  Only a containment question builds the operand
-    product, whose state and edge counts the row reports; a universal
-    one walks the factors' tables to the horizon (`find_trace_of_length`
-    of the factors, then `has_trace_of_length` of the factors and the
-    global spec) and reports None for both."""
+    product, whose state and edge counts the row reports and whose bad
+    set its walks read; they read successors off the factors' tables
+    (`automata._space`).  A universal one walks the factors' tables to
+    the horizon (`find_trace_of_length` of the factors, then
+    `has_trace_of_length` of the factors and the global spec) and
+    reports None for both."""
     factors = ctx.factors(kinds)
     bound = prod(a.state_count for a in factors)
     h = len(ctx.tr)

@@ -342,23 +342,24 @@ def test_searches_of_a_product_refuse_exactly_its_gaps():
 
 
 def test_searches_build_no_product_table():
-    """A search of a product at its own scope reads only the rows of its
-    good states, which `product` fills, and builds no transition table;
-    the answers equal those of the member sequence.  The table built
-    afterwards is complete: every state's row, bad ones included, holds
-    the members' steps."""
+    """A search of a product of complete members, at its own scope or a
+    wider one, walks the members and builds no row or transition table
+    of the product; the answers equal those of the member sequence.  The
+    table built afterwards is complete: every state's row, bad ones
+    included, holds the members' steps."""
     rng = random.Random(46)
     for auts in randsys_factor_lists(rng, 40):
         p = product(auts)
-        assert set(p._good) == set(p.states) - p.bad
-        for spec in (*auts, always_zero(p.vars[0], p.vars)):
+        assert "zz" not in p.vars
+        for spec in (*auts, always_zero(p.vars[0], p.vars),
+                     always_zero("zz", [p.vars[0], "zz"])):
             assert contains(p, spec) == contains(auts, spec)
         for h in MEMBER_HORIZONS:
             assert has_trace_of_length(p, h) == has_trace_of_length(auts, h)
             if h <= 6:
                 assert find_trace_of_length(p, h) == \
                     find_trace_of_length(auts, h)
-        assert p._tables == {}
+        assert p._rows is None and p._tables == {}
         table = p.transition_table(p.vars)
         letters = enumerate_valuations(p.vars)
         for s in p.states:
@@ -411,7 +412,9 @@ def test_letter_classes_of_members_over_part_of_the_scope():
             narrow += a.vars != p.vars
             overlapping += "nondeterministic-state" in {
                 d.kind for d in check_wellformed(a)}
-        assert class_rows(p, tuple(names)) == p._edge_rows(tuple(names))
+        assert class_rows(p, p.vars) == p._edge_rows()
+        assert class_rows(p, tuple(names)) == reference_edge_rows(
+            p, tuple(names))
         bad += bool(p.bad)
     assert narrow and overlapping and bad
 
@@ -957,8 +960,9 @@ def test_edge_rows_match_per_letter_reference():
         kinds = {d.kind for d in check_wellformed(a)}
         overlapping += "nondeterministic-state" in kinds
         incomplete += "incomplete-state" in kinds
+        assert a._edge_rows() == reference_edge_rows(a, a.vars)
         for scope in (a.vars, tuple(names)):
-            assert a._edge_rows(scope) == reference_edge_rows(a, scope)
+            assert class_rows(a, scope) == reference_edge_rows(a, scope)
     assert overlapping and incomplete
 
 

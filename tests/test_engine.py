@@ -425,6 +425,18 @@ def test_monotone_search_counts_on_independent_family(k):
         assert st.evaluated + st.pruned == 2 ** k
 
 
+def test_monotone_search_at_max_variables_across_components():
+    # 16 one-variable components: each factor's table is read over all
+    # 2^16 letters of the operand's scope.
+    k = model.MAX_VARIABLES
+    m, tr = independent_family(k)
+    asg = ModelAssignment.defaults(m, fault_kind=K.ARBITRARY)
+    rep, st = enumerate_with_stats(m, tr, "mitigation", asg, minimal_only=True)
+    assert (st.evaluated, st.pruned) == (k + 1, 2 ** k - k - 1)
+    assert [s.sorted_members for s in rep.minimal] == sorted(
+        (f"C{i}",) for i in range(k))
+
+
 def test_monotone_search_lists_minimal_sets_by_size():
     # Correcting {C0,C1} or {C1,C2,C3} keeps the letters safe; the search
     # finds the larger set first (sizes 0, 1, 4, 3, 2).
