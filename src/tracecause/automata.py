@@ -438,16 +438,14 @@ class SafetyAutomaton:
                     f"scope {list(scope)} does not cover automaton variables "
                     f"{list(self.vars)}")
             rows, targets = self._edge_rows(), self._edge_targets()
-            index = None if scope == self.vars else _projection(
-                scope, self.var_set)
+            index = _projection(scope, self.var_set)
             tbl = {}
             for q in self.states:
                 if None in rows[q]:
                     raise RuntimeError(f"no enabled edge from state {q!r} "
                                        "(automaton incomplete)")
-                row = tuple(map(targets[q].__getitem__, rows[q]))
-                tbl[q] = row if index is None else tuple(
-                    map(row.__getitem__, index))
+                tbl[q] = tuple(map(targets[q].__getitem__,
+                                   map(rows[q].__getitem__, index)))
             self._tables[scope] = tbl
         return tbl
 
