@@ -5,21 +5,23 @@ states; the accepted language (all finite traces whose run never enters a
 bad state) is therefore prefix-closed, the canonical shape of a safety
 property.  All operations are pure: automata are immutable after
 construction and safe to share across threads (the only internal
-mutations fill caches: edge rows, per-scope letter classes and
-transition tables, and a product's guarded edges; each fill is
+mutations fill caches: edge masks and rows, per-scope letter classes
+and transition tables, and a product's guarded edges; each fill is
 idempotent).
 
 Guards are kept as given and printed canonicalized.  They meet letters
-once per automaton, through `guards.guard_mask`, in the edge each state
-takes on each letter of its own variables (its edge rows, the only
-ones kept); `step`, wellformedness and every transition table read
-those rows, and a table over a wider scope reads each letter's entry
-at its restriction.  The same choice, read as sets of letters, gives
-each state's letter classes: one disjoint mask per edge taken, lifted
-to a wider scope once per scope.  A product never builds guards to
-explore, nor rows: it finds each tuple's successors by its members'
-letter classes, AND-ing them member by member (the minterms of symbolic
-automata).  Every search is one layered walk over successor rows, of
+once per automaton, through `guards.guard_mask`: one mask per edge over
+its own variables, which wellformedness reads.  One place decides the
+edge each state takes on each letter: its letter classes, one disjoint
+mask per edge taken, the first enabled edge winning (the minterms of
+symbolic automata), lifted to a wider scope once per scope.  The edge
+rows, the target taken on each letter of the automaton's own
+variables, are read off those classes; `step` and every transition
+table read the rows, and a table over a wider scope reads each
+letter's entry at its restriction.  A product never builds guards to
+explore: its letter classes, and so its rows, are its members' classes
+AND-ed member by member, and it finds each tuple's successors the same
+way.  Every search is one layered walk over successor rows, of
 states or of pairs of states (`_layers`), and every witness is spelled
 back through its layers (`_spell`).  No search builds a product:
 `contains` and the horizon questions also take a sequence of automata
@@ -243,9 +245,10 @@ class SafetyAutomaton:
     `check_wellformed`, which reports diagnostics instead of raising so
     that counterexamples can name the offending state and rule.
 
-    The edge masks and edge rows over the automaton's own variables are
-    computed once and cached; so are, per scope, the letters each edge is
-    taken on and the transition table.  A caller
+    The edge masks over the automaton's own variables, and the edge rows
+    read off their letter classes (the target taken on each letter, None
+    where no edge is enabled), are computed once and cached; so are, per
+    scope, the letter classes and the transition table.  A caller
     that already has the masks (the parser, which scans each guard over
     its owner's variables) hands them over as ``masks``, one per edge in
     edge order; a guard that has a mask over ``vars`` mentions no other
@@ -253,7 +256,7 @@ class SafetyAutomaton:
     """
 
     __slots__ = ("vars", "states", "initial", "bad", "edges", "_masks",
-                 "_targets", "_classes", "_rows", "_tables")
+                 "_classes", "_rows", "_tables")
 
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
@@ -299,7 +302,6 @@ class SafetyAutomaton:
         self._masks: dict[State, tuple[int, ...]] | None = (
             None if masks is None
             else {q: tuple(masks[q]) for q in state_tuple})
-        self._targets: dict[State, tuple[State, ...]] | None = None
         self._classes: dict[tuple[str, ...], dict] = {}  # see `_edge_classes`
         self._rows: dict[State, tuple] | None = None  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
@@ -326,26 +328,34 @@ class SafetyAutomaton:
             if name not in v:
                 raise DomainMismatch(f"valuation lacks variable {name!r}")
             i = i << 1 | v[name]
-        k = self._edge_rows()[q][i]
-        if k is None:
+        t = self._edge_rows()[q][i]
+        if t is None:
             raise RuntimeError(
                 f"no enabled edge from state {q!r} (automaton incomplete)")
-        return self._edge_targets()[q][k]
+        return t
 
-    def _edge_targets(self) -> dict[State, tuple[State, ...]]:
-        """Per state, the targets of its edges in edge order, the row an
-        edge index of `_edge_rows` points into.  Cached."""
-        if self._targets is None:
-            self._targets = {q: tuple(t for _, t in es)
-                             for q, es in self.edges.items()}
-        return self._targets
-
-    def _edge_rows(self) -> dict[State, tuple[int | None, ...]]:
-        """Per state, the index of the edge taken on each letter of
-        ``vars`` (None where no edge is enabled); the first enabled edge
-        wins.  Cached."""
+    def _edge_rows(self) -> dict[State, tuple[State | None, ...]]:
+        """Per state, the target taken on each letter of ``vars`` (None
+        where no edge is enabled), peeled off the letter classes over
+        ``vars`` in time linear in the number of letters: each class's
+        mask one 64-bit word at a time (peeling the whole mask would copy
+        a 2^n-bit integer per letter).  Cached."""
         if self._rows is None:
-            self._rows = self._letter_rows()
+            nletters = 1 << len(self.vars)
+            rows = {}
+            for q, classes in self._edge_classes(self.vars).items():
+                row: list[State | None] = [None] * nletters
+                for _, (t,), m in classes:
+                    words = (m,) if nletters <= 64 else unpack(
+                        f"<{nletters >> 6}Q",
+                        m.to_bytes(nletters >> 3, "little"))
+                    for base, w in zip(range(-1, nletters, 64), words):
+                        while w:
+                            low = w & -w
+                            row[base + low.bit_length()] = t
+                            w ^= low
+                rows[q] = tuple(row)
+            self._rows = rows
         return self._rows
 
     def _edge_masks(self) -> dict[State, tuple[int, ...]]:
@@ -360,10 +370,12 @@ class SafetyAutomaton:
         """Per state, each edge taken on some letter of the sorted
         ``scope``, in edge order, as (edge index, target, mask of those
         letters), index and target as 1-tuples, so that a branch of
-        `_branches` grows by concatenation.  These are the letter classes
-        of `_edge_rows`: pairwise disjoint, the first enabled edge winning.
-        Only the classes over ``vars`` read guards; a wider scope lifts
-        each mask to it (`_projection`).  Cached."""
+        `_branches` grows by concatenation.  The classes are pairwise
+        disjoint, the first enabled edge winning; those over ``vars`` are
+        the one place that decides the edge a state takes on a letter,
+        and the edge rows are read off them.  Only the classes over
+        ``vars`` read guards; a wider scope lifts each mask to it
+        (`_projection`).  Cached."""
         classes = self._classes.get(scope)
         if classes is None:
             if scope == self.vars:
@@ -386,42 +398,18 @@ class SafetyAutomaton:
     def _letter_classes(self) -> dict[State, tuple]:
         """`_edge_classes` over ``vars`` uncached, from the edge masks: each
         edge keeps the letters that no earlier edge takes."""
-        masks, targets = self._edge_masks(), self._edge_targets()
+        masks = self._edge_masks()
         full = (1 << (1 << len(self.vars))) - 1
         classes = {}
         for q in self.states:
             free, c = full, []
-            for k, m in enumerate(masks[q]):
+            for k, (m, (_, t)) in enumerate(zip(masks[q], self.edges[q])):
                 m &= free
                 if m:
                     free ^= m
-                    c.append(((k,), (targets[q][k],), m))
+                    c.append(((k,), (t,), m))
             classes[q] = tuple(c)
         return classes
-
-    def _letter_rows(self) -> dict[State, tuple[int | None, ...]]:
-        """`_edge_rows` uncached, from the edge masks, in time linear in
-        the number of letters: each edge's letters are peeled off its mask
-        one 64-bit word at a time (peeling the whole mask would copy a
-        2^n-bit integer per letter)."""
-        masks = self._edge_masks()
-        nletters = 1 << len(self.vars)
-        rows = {}
-        for q in self.states:
-            row: list[int | None] = [None] * nletters
-            free = (1 << nletters) - 1
-            for k, m in enumerate(masks[q]):
-                m &= free
-                free ^= m
-                words = (m,) if nletters <= 64 else unpack(
-                    f"<{nletters >> 6}Q", m.to_bytes(nletters >> 3, "little"))
-                for base, w in zip(range(-1, nletters, 64), words):
-                    while w:
-                        low = w & -w
-                        row[base + low.bit_length()] = k
-                        w ^= low
-            rows[q] = tuple(row)
-        return rows
 
     def transition_table(self, scope: Iterable[str]) -> dict[State, tuple[State, ...]]:
         """Per-state successor rows indexed by the canonical valuation order
@@ -437,15 +425,13 @@ class SafetyAutomaton:
                 raise DomainMismatch(
                     f"scope {list(scope)} does not cover automaton variables "
                     f"{list(self.vars)}")
-            rows, targets = self._edge_rows(), self._edge_targets()
             index = _projection(scope, self.var_set)
             tbl = {}
-            for q in self.states:
-                if None in rows[q]:
+            for q, row in self._edge_rows().items():
+                if None in row:
                     raise RuntimeError(f"no enabled edge from state {q!r} "
                                        "(automaton incomplete)")
-                tbl[q] = tuple(map(targets[q].__getitem__,
-                                   map(rows[q].__getitem__, index)))
+                tbl[q] = tuple(map(row.__getitem__, index))
             self._tables[scope] = tbl
         return tbl
 
@@ -537,9 +523,10 @@ def run(a: SafetyAutomaton, t: Trace) -> RunResult:
 class _Product(SafetyAutomaton):
     """A reachable product kept as its members and, per state, the
     successor of each tuple of member edges taken together on some letter
-    (lexicographic order).  That is all its edge count, edge rows, letter
-    classes and transition tables need; the guarded edges are built from
-    the members on first access.  ``_complete`` tells whether every
+    (lexicographic order).  Its edge count reads those successors; its
+    letter classes, and so its edge rows and transition tables, come from
+    the members' classes; the guarded edges are built from the members on
+    first access.  ``_complete`` tells whether every
     member is complete; a search then walks the members (`_space`) and
     builds no row of the product."""
 
@@ -559,26 +546,6 @@ class _Product(SafetyAutomaton):
     @property
     def edge_count(self) -> int:
         return sum(map(len, self._succ.values()))
-
-    def _edge_targets(self) -> dict[State, tuple[State, ...]]:
-        if self._targets is None:
-            self._targets = {s: tuple(succ.values())
-                             for s, succ in self._succ.items()}
-        return self._targets
-
-    def _letter_rows(self) -> dict[State, tuple[int | None, ...]]:
-        """Edge rows from the members' rows, each letter read at its
-        restriction (`_projection`): the edge taken on a letter is the
-        rank of the tuple of member edges taken on it."""
-        member_rows = [a._edge_rows() for a in self._members]
-        index = [_projection(self.vars, a.var_set) for a in self._members]
-        rows = {}
-        for s, succ in self._succ.items():
-            rank = {combo: k for k, combo in enumerate(succ)}
-            rows[s] = tuple(map(rank.get, zip(
-                *[map(r[q].__getitem__, i)
-                  for r, q, i in zip(member_rows, s, index)])))
-        return rows
 
     def _letter_classes(self) -> dict[State, tuple]:
         """Letter classes from the members' classes: the letters of an
@@ -623,9 +590,10 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     iff any coordinate is, found breadth first.  Each state's successors
     are keyed by the tuples of member edges taken together on some
     letter, in lexicographic order, and found by its members' letter
-    classes (`_branches`).  The edge rows and transition table are built
-    only on request, and the edges, guarded by the plain conjunction of
-    the member guards, only when ``edges`` is read.  Each member follows
+    classes (`_branches`).  The letter classes, edge rows and transition
+    table are built from the members' classes only on request, and the
+    edges, guarded by the plain conjunction of the member guards, only
+    when ``edges`` is read.  Each member follows
     its first enabled edge; on a letter where some member has none, the
     product state has none either.  Since every guard mentions only its
     own automaton's variables, this realizes intersection of the
@@ -655,7 +623,7 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     p.bad = frozenset(s for s in succ_of
                       if any(map(frozenset.__contains__, bads, s)))
     p._members, p._succ, p._edges = automata, succ_of, None
-    p._masks, p._targets, p._rows = None, None, None
+    p._masks, p._rows = None, None
     p._classes, p._tables = {}, {}
     # A member is complete when its letter classes cover every letter.
     full = (1 << (1 << len(scope))) - 1

@@ -31,11 +31,11 @@ size-then-lexicographic order so reports are byte-reproducible.
 
 The modes of one analysis share one `_Context` (see `_analysis`): the
 faulty-components report, one fault-model factor per (component, kind)
-with the edge rows and transition tables it caches, the monotonicity
-verdict of the assignment (only where the both-ends search or the
-``stats`` report reads it), and the answer to each distinct operand
-question (see `_evaluate`) are each computed at most once, however many
-modes run.
+with the letter classes, edge rows and transition tables it caches, the
+monotonicity verdict of the assignment (only where the both-ends search
+or the ``stats`` report reads it), and the answer to each distinct
+operand question (see `_evaluate`) are each computed at most once,
+however many modes run.
 """
 
 from __future__ import annotations
@@ -256,10 +256,10 @@ class _Context:
     factor per (component, kind), whether the assignment is monotone, and
     ``answers``: the verdict and `SetMetrics` sizes of each operand
     question decided so far, keyed by the tuple of factor kinds and the
-    question (see `_evaluate`).  The factors keep the edge rows and
-    transition tables they cache; no operand product is kept.  Analyses
-    build one through `_analysis`, which hands in the report; the operand
-    builders need none."""
+    question (see `_evaluate`).  The factors keep the letter classes,
+    edge rows and transition tables they cache; no operand product is
+    kept.  Analyses build one through `_analysis`, which hands in the
+    report; the operand builders need none."""
 
     def __init__(self, m: SystemModel, tr: Trace,
                  asg: ModelAssignment | None = None,

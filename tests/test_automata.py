@@ -341,6 +341,75 @@ def test_searches_of_a_product_refuse_exactly_its_gaps():
     assert refused and at_bad_only and answered
 
 
+def joint_step(auts, s, v):
+    """The tuple of the members' steps from ``s`` on ``v``, or None where
+    some member has no edge."""
+    try:
+        return tuple(a.step(q, v) for a, q in zip(auts, s))
+    except RuntimeError:
+        return None
+
+
+def joint_run(auts, t):
+    """(accepted, first violation index) of the members stepped together
+    on ``t``, or None where some member has no edge."""
+    s = tuple(a.initial for a in auts)
+    for i, v in enumerate(t):
+        s = joint_step(auts, s, v)
+        if s is None:
+            return None
+        if any(q in a.bad for a, q in zip(auts, s)):
+            return False, i
+    return True, None
+
+
+def test_product_steps_and_runs_at_its_gaps():
+    """Over random incomplete members, nondeterministic ones and nested
+    products among them, a product's step on every state and letter is
+    the tuple of its members' steps, and raises `RuntimeError` exactly
+    where some member has no edge; `run` agrees with the members stepped
+    together."""
+    rng = random.Random(49)
+    names = ["u", "v", "w"]
+
+    def member():
+        scope = rng.sample(names, rng.randint(1, 2))
+        if rng.random() < 0.5:
+            return random_raw_automaton(rng, scope, 0.15)
+        return random_guarded_automaton(rng, scope)
+
+    steps = gaps = runs = refused = nested = 0
+    for _ in range(80):
+        auts = [member() for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            auts[0] = product([auts[0], member()])
+            nested += 1
+        p = product(auts)
+        letters = enumerate_valuations(p.vars)
+        for s in p.states:
+            for v in letters:
+                want = joint_step(auts, s, v)
+                if want is None:
+                    with pytest.raises(RuntimeError, match="no enabled edge"):
+                        p.step(s, v)
+                    gaps += 1
+                else:
+                    assert p.step(s, v) == want
+                    steps += 1
+        for _ in range(5):
+            t = random_trace(rng, p.vars, rng.randint(0, 4))
+            want = joint_run(auts, t)
+            if want is None:
+                with pytest.raises(RuntimeError, match="no enabled edge"):
+                    run(p, t)
+                refused += 1
+            else:
+                r = run(p, t)
+                assert (r.accepted, r.first_violation_index) == want
+                runs += 1
+    assert steps and gaps and runs and refused and nested
+
+
 def test_searches_build_no_product_table():
     """A search of a product of complete members, at its own scope or a
     wider one, walks the members and builds no row or transition table
@@ -370,12 +439,11 @@ def test_searches_build_no_product_table():
 def class_rows(a, scope):
     """``a._edge_classes(scope)`` spelled as edge rows, each class's
     target checked against the edge's."""
-    targets = a._edge_targets()
     rows = {}
     for q, classes in a._edge_classes(scope).items():
         row = [None] * (1 << len(scope))
         for (k,), (t,), m in classes:
-            assert t == targets[q][k]
+            assert t == a.edges[q][k][1]
             for i in range(len(row)):
                 if m >> i & 1:
                     assert row[i] is None  # the classes are disjoint
@@ -412,7 +480,8 @@ def test_letter_classes_of_members_over_part_of_the_scope():
             narrow += a.vars != p.vars
             overlapping += "nondeterministic-state" in {
                 d.kind for d in check_wellformed(a)}
-        assert class_rows(p, p.vars) == p._edge_rows()
+        assert class_rows(p, p.vars) == reference_edge_rows(p, p.vars)
+        assert p._edge_rows() == reference_target_rows(p, p.vars)
         assert class_rows(p, tuple(names)) == reference_edge_rows(
             p, tuple(names))
         bad += bool(p.bad)
@@ -421,13 +490,13 @@ def test_letter_classes_of_members_over_part_of_the_scope():
 
 def test_transition_table_is_built_once_per_scope(monkeypatch):
     calls = []
-    targets = SafetyAutomaton._edge_targets
+    rows = SafetyAutomaton._edge_rows
 
     def counting(self):
         calls.append(self)
-        return targets(self)
+        return rows(self)
 
-    monkeypatch.setattr(SafetyAutomaton, "_edge_targets", counting)
+    monkeypatch.setattr(SafetyAutomaton, "_edge_rows", counting)
     a = always_zero("x")
     first = a.transition_table(["x", "y"])
     built = len(calls)
@@ -453,8 +522,8 @@ class _CountingEdges(dict):
             yield q, self[q]
 
 
-def test_edge_targets_are_built_once_per_state():
-    # Masks handed over up front, so only the target lists read the edges.
+def test_edges_are_read_once_per_state():
+    # Masks handed over up front, so only the letter classes read the edges.
     a = SafetyAutomaton(["x"], ["g", "b"], "g", ["b"], {
         "g": [(Not(Var("x")), "g"), (Var("x"), "b")], "b": [(TRUE, "b")]},
         masks={"g": (0b01, 0b10), "b": (0b11,)})
@@ -467,15 +536,12 @@ def test_edge_targets_are_built_once_per_state():
         product([always_zero("z"), a])
     a.transition_table(["x", "y", "z"])
     assert a.edges.reads == {"g": 1, "b": 1}
-    assert a._edge_targets() is a._edge_targets()
-    # A product reads its target lists off its successor maps and builds
-    # no guarded edge for them.
-    assert p._edge_targets() == {s: tuple(succ.values())
-                                 for s, succ in p._succ.items()}
+    assert a._edge_rows() is a._edge_rows()
+    # A product steps by its members' letter classes and builds no guarded
+    # edge for it.
     run(p, T({"x": 1, "y": 0}))
     assert p._edges is None
-    assert p._edge_targets() == {s: tuple(t for _, t in es)
-                                 for s, es in p.edges.items()}
+    assert p._edge_rows() == reference_target_rows(p, p.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +1016,12 @@ def reference_edge_rows(a, scope):
             for q in a.states}
 
 
+def reference_target_rows(a, scope):
+    """`reference_edge_rows` read as the targets of those edges."""
+    return {q: tuple(None if k is None else a.edges[q][k][1] for k in row)
+            for q, row in reference_edge_rows(a, scope).items()}
+
+
 def test_edge_rows_match_per_letter_reference():
     rng = random.Random(17)
     overlapping = incomplete = 0
@@ -960,7 +1032,7 @@ def test_edge_rows_match_per_letter_reference():
         kinds = {d.kind for d in check_wellformed(a)}
         overlapping += "nondeterministic-state" in kinds
         incomplete += "incomplete-state" in kinds
-        assert a._edge_rows() == reference_edge_rows(a, a.vars)
+        assert a._edge_rows() == reference_target_rows(a, a.vars)
         for scope in (a.vars, tuple(names)):
             assert class_rows(a, scope) == reference_edge_rows(a, scope)
     assert overlapping and incomplete
