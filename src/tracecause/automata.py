@@ -26,10 +26,11 @@ states or of pairs of states (`_layers`), and every witness is spelled
 back through its layers (`_spell`).  No search builds a product:
 `contains` and the horizon questions also take a sequence of automata
 and walk their product on the fly, and each takes its start state,
-successor rows and bad states from one place (`_space`), which reads a
-sequence's tuples' successors off the members' tables (`_Tuples`) and
-walks a built product of complete members as its members.  A scope of
-n variables has 2^n letters.
+successor rows and bad states from one place (`_space`), which walks
+tuples of member states off the members' tables (`_Tuples`): an
+automaton is a sequence of one, a built product its members.  So any
+incomplete member refuses a search, as its table does.  A scope of n
+variables has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -526,11 +527,10 @@ class _Product(SafetyAutomaton):
     (lexicographic order).  Its edge count reads those successors; its
     letter classes, and so its edge rows and transition tables, come from
     the members' classes; the guarded edges are built from the members on
-    first access.  ``_complete`` tells whether every
-    member is complete; a search then walks the members (`_space`) and
-    builds no row of the product."""
+    first access.  A search walks the members (`_space`) and builds no
+    row of the product."""
 
-    __slots__ = ("_members", "_succ", "_edges", "_complete")
+    __slots__ = ("_members", "_succ", "_edges")
 
     @property
     def edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
@@ -625,10 +625,6 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     p._members, p._succ, p._edges = automata, succ_of, None
     p._masks, p._rows = None, None
     p._classes, p._tables = {}, {}
-    # A member is complete when its letter classes cover every letter.
-    full = (1 << (1 << len(scope))) - 1
-    p._complete = all(sum(m for _, _, m in c) == full
-                      for cs in classes for c in cs.values())
     return p
 
 
@@ -708,25 +704,20 @@ def _space(a: SafetyAutomaton | Sequence[SafetyAutomaton],
     """The start state, successor rows, bad states and sorted scope of a
     search of ``a`` over the letters of its variables and ``scope``.
 
-    For one automaton these are its initial state, its transition table
-    and its bad set.  A nonempty sequence of automata stands for their
-    `product`, which is not built: a state is a tuple of member states,
-    its row is zipped from the members' transition tables (`_Tuples`),
-    and it is bad when a coordinate is.  Its reachable tuples are then
-    the product's states in the same order, so every answer and witness
-    equals that of the search of ``product(a)``; only an incomplete
-    member differs: it raises, as its table does, even where the product
-    would never reach its missing edge.  So a built product whose
-    members are all complete is walked as its members, with its own bad
-    set, and builds no row; one with an incomplete member is walked
-    through its table, which raises exactly at its gaps."""
-    if isinstance(a, _Product) and a._complete:
+    A nonempty sequence of automata stands for their `product`, which
+    is not built: a state is a tuple of member states, its row is zipped
+    from the members' transition tables (`_Tuples`), and it is bad when
+    a coordinate is.  Its reachable tuples are then the product's states
+    in the same order, so every answer and witness equals that of the
+    search of ``product(a)``.  One automaton is a sequence of one; a
+    built product is its members, with its own bad set, and builds no
+    row.  So an incomplete member raises, as its table does, at every
+    length, even where the walk would never reach its gap."""
+    if isinstance(a, _Product):
         start, rows, _, scope = _space(a._members, scope)
         return start, rows, a.bad, scope
-    if isinstance(a, SafetyAutomaton):
-        scope = tuple(sorted(a.var_set.union(scope)))
-        return a.initial, a.transition_table(scope), a.bad, scope
-    members, scope = _union(a, scope)
+    members, scope = _union((a,) if isinstance(a, SafetyAutomaton) else a,
+                            scope)
     tuples = _Tuples(members, scope)
     return tuple(m.initial for m in members), tuples, tuples, scope
 
@@ -783,18 +774,10 @@ def find_trace_of_length(a: SafetyAutomaton | Sequence[SafetyAutomaton],
     its first empty layer), and the first state of layer ``h`` is spelled
     back to the initial state (`_spell`).  All h + 1 layers are kept, so
     the horizon should be modest (it is the error-trace length in
-    practice).  For a sequence, h = 0 and a bad initial tuple are
-    answered before any table is built, so an incomplete member raises
-    only on a walk of at least one step.
+    practice).
     """
     if h < 0:
         raise ValueError("length must be nonnegative")
-    if not isinstance(a, SafetyAutomaton):
-        a = _union(a)[0]
-        if any(m.initial in m.bad for m in a):
-            return None
-        if h == 0:
-            return Trace()
     start, rows, bad, scope = _space(a)
     layers = list(islice(takewhile(bool, _layers(start, rows, bad)), h + 1))
     if len(layers) <= h:

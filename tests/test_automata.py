@@ -290,7 +290,7 @@ def test_product_with_nondeterministic_member_takes_first_edge():
 def test_gap_at_bad_tuples_only_refuses_every_search():
     # "falls" goes bad on x=1 and, once bad, has no edge where x=1.  So the
     # product's only gaps sit at bad tuples, whose rows no search reads;
-    # every search still refuses it, as its table does.
+    # every search still refuses it, as the incomplete member's table does.
     falls = SafetyAutomaton(["x"], ["g", "b"], "g", ["b"], {
         "g": [(Not(Var("x")), "g"), (Var("x"), "b")],
         "b": [(Not(Var("x")), "b")]})
@@ -311,34 +311,40 @@ def test_gap_at_bad_tuples_only_refuses_every_search():
             find_trace_of_length(p, h)
 
 
-def test_searches_of_a_product_refuse_exactly_its_gaps():
+def test_searches_of_a_product_answer_as_its_members():
     """Over random incomplete members, every search of the built product
-    raises `RuntimeError` exactly when some product state has no edge on
-    some letter (`check_wellformed`, which reads the guarded edges), be
-    that state good or bad."""
+    returns or raises exactly as the same search of the member sequence:
+    any incomplete member refuses it, whether or not the product reaches
+    the gap.  The product's own table still refuses exactly where some
+    product state, good or bad, has no edge on some letter
+    (`check_wellformed`, which reads the guarded edges)."""
     rng = random.Random(48)
     scopes = [["u"], ["v"], ["u", "v"], ["v", "w"]]
-    refused = at_bad_only = answered = 0
+    refused = unreached = answered = 0
     for _ in range(150):
         members = [random_raw_automaton(rng, rng.choice(scopes), 0.1)
                    for _ in range(rng.randint(1, 3))]
         p = product(members)
         gaps = {d.subject for d in check_wellformed(p)
                 if d.kind == "incomplete-state"}
+        assert isinstance(outcome(p.transition_table, p.vars),
+                          tuple) == bool(gaps)
         spec = universal_automaton(p.vars)
-        got = [outcome(contains, p, spec),
-               *(outcome(walk, p, h) for h in (0, 2)
-                 for walk in (has_trace_of_length, find_trace_of_length))]
-        if gaps:
-            assert all(isinstance(g, tuple) and g[0] is RuntimeError
-                       for g in got)
+        searches = [(contains, spec),
+                    *((walk, h) for h in (0, 2)
+                      for walk in (has_trace_of_length, find_trace_of_length))]
+        got = [outcome(search, p, arg) for search, arg in searches]
+        assert got == [outcome(search, members, arg)
+                       for search, arg in searches]
+        if isinstance(got[0], tuple):
+            assert all(g == got[0] for g in got)
+            assert got[0][0] is RuntimeError
             refused += 1
-            at_bad_only += all(s in p.bad for s in p.states
-                               if str(s) in gaps)
+            unreached += not gaps
         else:
             assert not any(isinstance(g, tuple) for g in got)
             answered += 1
-    assert refused and at_bad_only and answered
+    assert refused > unreached > 0 and answered
 
 
 def joint_step(auts, s, v):
@@ -907,11 +913,11 @@ def test_member_horizon_walks_equal_product_walks():
 
 def test_incomplete_member_raises_as_in_contains():
     """A member without an edge on some letter raises, as its table does
-    in `contains`, at every length; `find_trace_of_length` answers h = 0
-    and a bad initial tuple before it reads a table."""
+    in `contains`, at every length, h = 0 and a bad initial tuple
+    included."""
     rng = random.Random(44)
     scopes = [["u"], ["v"], ["u", "v"], ["v", "w"]]
-    raised = early = 0
+    raised = bad_starts = 0
     for _ in range(80):
         members = [random_raw_automaton(rng, rng.choice(scopes), 0.15)
                    for _ in range(rng.randint(1, 3))]
@@ -920,18 +926,11 @@ def test_incomplete_member_raises_as_in_contains():
             continue
         assert error[0] is RuntimeError
         raised += 1
-        bad_start = any(m.initial in m.bad for m in members)
+        bad_starts += any(m.initial in m.bad for m in members)
         for h in MEMBER_HORIZONS:
             assert outcome(has_trace_of_length, members, h) == error
-            found = outcome(find_trace_of_length, members, h)
-            if bad_start:
-                assert found is None
-            elif h == 0:
-                assert found == Trace()
-            else:
-                assert found == error
-        early += bad_start
-    assert raised > early > 0
+            assert outcome(find_trace_of_length, members, h) == error
+    assert raised > bad_starts > 0
 
 
 def test_empty_sequence_is_refused_at_every_horizon():
@@ -949,30 +948,34 @@ def test_empty_sequence_is_refused_at_every_horizon():
 
 def test_one_member_sequence_answers_as_its_member():
     """A sequence ``(a,)`` walks tuples ``(q,)`` where ``a`` walks states
-    ``q``: every `ContainmentResult` field, horizon answer and witness of
-    the two forms agree on complete automata, the fault-model factors of
-    seeded randsys systems and raw automata that may be doomed."""
+    ``q``: every `ContainmentResult` field, horizon answer, witness and
+    error of the two forms agree on the fault-model factors of seeded
+    randsys systems, raw automata that may be doomed and raw automata
+    with letters left uncovered, on either side of `contains`."""
     factor_lists = randsys_factor_lists(random.Random(45), 40)
     raw_lists = ([*members, b] for members, b in raw_member_cases(40))
+    rng = random.Random(49)
+    scopes = [["u"], ["v"], ["u", "v"], ["v", "w"]]
+    gappy_lists = [[random_raw_automaton(rng, rng.choice(scopes), 0.15)
+                    for _ in range(3)] for _ in range(40)]
     holds, answers = set(), set()
-    for auts in [*factor_lists, *raw_lists]:
-        complete = [a for a in auts
-                    if "incomplete-state" not in
-                    {d.kind for d in check_wellformed(a)}]
-        for a in complete:
-            for b in complete:
-                got = contains((a,), b)
-                assert got == contains(a, b)
-                holds.add(got.holds)
+    for auts in [*factor_lists, *raw_lists, *gappy_lists]:
+        for a in auts:
+            for b in auts:
+                got = outcome(contains, (a,), b)
+                assert got == outcome(contains, a, b)
+                holds.add(got.holds if isinstance(got, ContainmentResult)
+                          else got[0])
             for h in MEMBER_HORIZONS:
-                has = has_trace_of_length((a,), h)
-                assert has == has_trace_of_length(a, h)
-                answers.add((h, has))
+                has = outcome(has_trace_of_length, (a,), h)
+                assert has == outcome(has_trace_of_length, a, h)
+                answers.add((h, has if isinstance(has, bool) else has[0]))
                 if h <= 6:
-                    assert find_trace_of_length((a,), h) == \
-                        find_trace_of_length(a, h)
-    assert holds == {True, False}
-    assert {(0, True), (1, False), (10 ** 9, True), (10 ** 9, False)} <= answers
+                    assert outcome(find_trace_of_length, (a,), h) == \
+                        outcome(find_trace_of_length, a, h)
+    assert holds == {True, False, RuntimeError}
+    assert {(0, True), (0, RuntimeError), (1, False), (10 ** 9, True),
+            (10 ** 9, False)} <= answers
 
 
 def test_transition_table_matches_step():
