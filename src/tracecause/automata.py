@@ -6,15 +6,19 @@ bad state) is therefore prefix-closed, the canonical shape of a safety
 property.  All operations are pure: automata are immutable after
 construction and safe to share across threads (the only internal
 mutations fill caches: edge masks and rows, per-scope letter classes
-and transition tables, and a product's guarded edges; each fill is
-idempotent).
+and transition tables, and guarded edges built on first read; each fill
+is idempotent).
 
 Guards are kept as given and printed canonicalized.  They meet letters
 once per automaton, through `guards.guard_mask`: one mask per edge over
-its own variables, which wellformedness reads.  One place decides the
-edge each state takes on each letter: its letter classes, one disjoint
-mask per edge taken, the first enabled edge winning (the minterms of
-symbolic automata), lifted to a wider scope once per scope.  The edge
+its own variables, which wellformedness reads.  An automaton whose
+masks come from elsewhere (`SafetyAutomaton.from_masks`, as the parser
+and the observed fault models build theirs) builds no guard until its
+``edges`` are read, and nothing but printing reads them.  One place
+decides the edge each state takes on each letter: its letter classes,
+one disjoint mask per edge taken, the first enabled edge winning (the
+minterms of symbolic automata), lifted to a wider scope once per
+scope.  The edge
 rows, the target taken on each letter of the automaton's own
 variables, are read off those classes; `step` and every transition
 table read the rows, and a table over a wider scope reads each
@@ -43,7 +47,8 @@ outputs.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
+                             Sequence)
 from itertools import chain, islice, takewhile
 from operator import getitem
 from struct import unpack
@@ -249,20 +254,60 @@ class SafetyAutomaton:
     The edge masks over the automaton's own variables, and the edge rows
     read off their letter classes (the target taken on each letter, None
     where no edge is enabled), are computed once and cached; so are, per
-    scope, the letter classes and the transition table.  A caller
-    that already has the masks (the parser, which scans each guard over
-    its owner's variables) hands them over as ``masks``, one per edge in
-    edge order; a guard that has a mask over ``vars`` mentions no other
-    variable, so its scope is not walked again.
+    scope, the letter classes and the transition table.  A caller that
+    already has the masks (the parser, which scans each guard over its
+    owner's variables) builds the automaton with `from_masks`, from the
+    masks and targets of its edges; its guards are then built when
+    ``edges`` is first read, and no walk, table or wellformedness check
+    waits for them.
     """
 
-    __slots__ = ("vars", "states", "initial", "bad", "edges", "_masks",
-                 "_classes", "_rows", "_tables")
+    __slots__ = ("vars", "states", "initial", "bad", "_targets", "_edges",
+                 "_guards", "_masks", "_classes", "_rows", "_tables")
 
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
-                 edges: Mapping[State, Iterable[tuple[Guard, State]]],
-                 masks: Mapping[State, Sequence[int]] | None = None):
+                 edges: Mapping[State, Iterable[tuple[Guard, State]]]):
+        normalized = {q: tuple((g, t) for g, t in e) for q, e in edges.items()}
+        self._init(vars, states, initial, bad,
+                   {q: tuple(t for _, t in e) for q, e in normalized.items()},
+                   None)
+        self._edges = {q: normalized.get(q, ()) for q in self.states}
+        self._guards = None
+        scope = self.var_set
+        for q, e in self._edges.items():
+            for g, _ in e:
+                extra = guard_vars(g) - scope
+                if extra:
+                    raise ValueError(
+                        f"guard on edge from {q!r} mentions undeclared "
+                        f"variable {sorted(extra)[0]!r}")
+
+    @classmethod
+    def from_masks(cls, vars: Iterable[str], states: Iterable[State],
+                   initial: State, bad: Iterable[State],
+                   targets: Mapping[State, Sequence[State]],
+                   masks: Mapping[State, Sequence[int]],
+                   guards: Callable[[], Mapping[State, Sequence[Guard]]]
+                   ) -> "SafetyAutomaton":
+        """The automaton whose edges leave each state for ``targets``, in
+        order, on the letters of ``vars`` that ``masks`` gives, one mask
+        per edge: what the search, tables and `check_wellformed` read.
+        A guard that has a mask over ``vars`` mentions no other variable,
+        so no scope is checked.  ``guards()`` gives each state's guards
+        in the same order and is called when ``edges`` is first read; the
+        automaton keeps it, so it must not refer back to the automaton
+        (and must pickle where the automaton is pickled)."""
+        a = cls.__new__(cls)
+        a._init(vars, states, initial, bad, targets, masks)
+        a._edges, a._guards = None, guards
+        return a
+
+    def _init(self, vars: Iterable[str], states: Iterable[State],
+              initial: State, bad: Iterable[State],
+              targets: Mapping[State, Sequence[State]],
+              masks: Mapping[State, Sequence[int]] | None) -> None:
+        """Check and set everything but the guards."""
         var_tuple = tuple(sorted(set(vars)))
         for name in var_tuple:
             if not is_variable_name(name):
@@ -278,34 +323,37 @@ class SafetyAutomaton:
         bad_set = frozenset(bad)
         if not bad_set <= state_set:
             raise ValueError("bad states must be a subset of states")
-        normalized: dict[State, tuple[tuple[Guard, State], ...]] = {}
-        scope = frozenset(var_tuple)
+        normalized: dict[State, tuple[State, ...]] = {}
         for q in state_tuple:
-            normalized[q] = tuple((g, t) for g, t in edges.get(q, ()))
-            for g, t in normalized[q]:
+            normalized[q] = tuple(targets.get(q, ()))
+            for t in normalized[q]:
                 if t not in state_set:
                     raise ValueError(f"edge from {q!r} targets unknown state {t!r}")
-                if masks is not None:
-                    continue
-                extra = guard_vars(g) - scope
-                if extra:
-                    raise ValueError(
-                        f"guard on edge from {q!r} mentions undeclared "
-                        f"variable {sorted(extra)[0]!r}")
-        unknown = set(edges) - state_set
+        unknown = set(targets) - state_set
         if unknown:
             raise ValueError(f"edges declared for unknown state {sorted(map(repr, unknown))[0]}")
         self.vars = var_tuple
         self.states = state_tuple
         self.initial = initial
         self.bad = bad_set
-        self.edges = normalized
+        self._targets = normalized
         self._masks: dict[State, tuple[int, ...]] | None = (
             None if masks is None
             else {q: tuple(masks[q]) for q in state_tuple})
         self._classes: dict[tuple[str, ...], dict] = {}  # see `_edge_classes`
         self._rows: dict[State, tuple] | None = None  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
+
+    @property
+    def edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
+        if self._edges is None:
+            self._edges = self._guarded_edges()
+        return self._edges
+
+    def _guarded_edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
+        """The edges of an automaton built `from_masks`, on first read."""
+        guards = self._guards()
+        return {q: tuple(zip(guards[q], ts)) for q, ts in self._targets.items()}
 
     @property
     def var_set(self) -> frozenset[str]:
@@ -317,7 +365,7 @@ class SafetyAutomaton:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(v) for v in self.edges.values())
+        return sum(map(len, self._targets.values()))
 
     def step(self, q: State, v: Mapping[str, int]) -> State:
         """Target of the first enabled edge from ``q`` on the restriction
@@ -402,9 +450,9 @@ class SafetyAutomaton:
         masks = self._edge_masks()
         full = (1 << (1 << len(self.vars))) - 1
         classes = {}
-        for q in self.states:
+        for q, targets in self._targets.items():
             free, c = full, []
-            for k, (m, (_, t)) in enumerate(zip(masks[q], self.edges[q])):
+            for k, (m, t) in enumerate(zip(masks[q], targets)):
                 m &= free
                 if m:
                     free ^= m
@@ -493,8 +541,9 @@ def check_wellformed(a: SafetyAutomaton) -> list[Diagnostic]:
                     f"state {q!r}: {what} enabled on "
                     f"{hit.to_text() or 'the empty valuation'}")))
         if q in a.bad:
-            for g, t in a.edges[q]:
+            for k, t in enumerate(a._targets[q]):
                 if t not in a.bad:
+                    g = a.edges[q][k][0]
                     diags.append(Diagnostic(
                         "non-absorbing-bad", str(q),
                         f"bad state {q!r} has an edge to good state {t!r} "
@@ -524,28 +573,20 @@ def run(a: SafetyAutomaton, t: Trace) -> RunResult:
 class _Product(SafetyAutomaton):
     """A reachable product kept as its members and, per state, the
     successor of each tuple of member edges taken together on some letter
-    (lexicographic order).  Its edge count reads those successors; its
-    letter classes, and so its edge rows and transition tables, come from
+    (lexicographic order), which are its edges' targets; its letter
+    classes, and so its edge rows and transition tables, come from
     the members' classes; the guarded edges are built from the members on
     first access.  A search walks the members (`_space`) and builds no
     row of the product."""
 
-    __slots__ = ("_members", "_succ", "_edges")
+    __slots__ = ("_members", "_succ")
 
-    @property
-    def edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
-        if self._edges is None:
-            member_edges = [a.edges for a in self._members]
-            self._edges = {
-                s: tuple((And(tuple(e[q][k][0] for e, q, k
+    def _guarded_edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
+        member_edges = [a.edges for a in self._members]
+        return {s: tuple((And(tuple(e[q][k][0] for e, q, k
                                     in zip(member_edges, s, combo))), t)
                          for combo, t in succ.items())
                 for s, succ in self._succ.items()}
-        return self._edges
-
-    @property
-    def edge_count(self) -> int:
-        return sum(map(len, self._succ.values()))
 
     def _letter_classes(self) -> dict[State, tuple]:
         """Letter classes from the members' classes: the letters of an
@@ -622,7 +663,8 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     p.vars, p.states, p.initial = scope, tuple(succ_of), init
     p.bad = frozenset(s for s in succ_of
                       if any(map(frozenset.__contains__, bads, s)))
-    p._members, p._succ, p._edges = automata, succ_of, None
+    p._members, p._succ, p._edges, p._guards = automata, succ_of, None, None
+    p._targets = {s: tuple(succ.values()) for s, succ in succ_of.items()}
     p._masks, p._rows = None, None
     p._classes, p._tables = {}, {}
     return p

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .automata import Trace
@@ -41,6 +40,7 @@ from .engine import (CauseReport, EnumerationStats, _analysis, _Context,
 from .errors import (BudgetExceeded, HorizonMismatch, NotAnErrorTrace,
                      ParseError, SchemaError, TraceCauseError,
                      UnknownComponent, ValidationError)
+from .jsontext import dumps
 from .model import SystemModel, parse_system, parse_trace, validate_system
 from .model import (  # noqa: F401  (rebound by bench/tracing.py)
     faulty_components, violates_global)
@@ -56,7 +56,7 @@ def _err(message: str) -> None:
 
 
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(dumps(doc))
 
 
 def _read_file(path: str) -> str:

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping
+from functools import partial
 
 from .automata import (SafetyAutomaton, Trace, product, run,
                        universal_automaton)
 from .errors import DomainMismatch, HorizonMismatch, UnknownComponent
-from .guards import FALSE, TRUE, cube, negate
+from .guards import FALSE, TRUE, cube, cube_mask, negate
 from .model import Component, SystemModel
 from .records import Record, setfield
 
@@ -67,20 +68,36 @@ def longest_correct_prefix(c: Component, tr_local: Trace) -> int:
 def _observed_chain(scope, cube_vars, steps: Trace) -> SafetyAutomaton:
     # A chain state per observed step: the on-cube edge advances, any
     # deviation is absorbed by "bad"; after the chain everything is
-    # allowed.  Exactly len(steps) + 2 states.
+    # allowed.  Exactly len(steps) + 2 states.  The edges go by their
+    # masks; their guards are built only if they are read
+    # (`_chain_guards`).
     h = len(steps)
     names = [f"obs{k}" for k in range(h)] + ["tail", "bad"]
-    edges: dict = {}
+    full = (1 << (1 << len(scope))) - 1
+    targets: dict = {"tail": ("tail",), "bad": ("bad",)}
+    masks: dict = {"tail": (full,), "bad": (full,)}
     for k in range(h):
-        g = cube(steps[k], cube_vars)
-        out = [(g, names[k + 1])]
+        on = cube_mask(steps[k], cube_vars, scope)
+        if on == full:  # the cube pins no variable: its negation is FALSE
+            targets[names[k]], masks[names[k]] = (names[k + 1],), (on,)
+        else:
+            targets[names[k]] = (names[k + 1], "bad")
+            masks[names[k]] = (on, full ^ on)
+    return SafetyAutomaton.from_masks(scope, names, names[0], ["bad"],
+                                      targets, masks,
+                                      partial(_chain_guards, cube_vars, steps))
+
+
+def _chain_guards(cube_vars, steps: Trace) -> dict:
+    """The guards of `_observed_chain`'s edges: per step the cube of the
+    observed values of ``cube_vars``, then its negation unless FALSE."""
+    guards: dict = {}
+    for k, step in enumerate(steps):
+        g = cube(step, cube_vars)
         off = negate(g)
-        if off != FALSE:
-            out.append((off, "bad"))
-        edges[names[k]] = out
-    edges["tail"] = [(TRUE, "tail")]
-    edges["bad"] = [(TRUE, "bad")]
-    return SafetyAutomaton(scope, names, names[0], ["bad"], edges)
+        guards[f"obs{k}"] = (g,) if off == FALSE else (g, off)
+    guards["tail"] = guards["bad"] = (TRUE,)
+    return guards
 
 
 def build_fault_model(kind: FaultModelKind, c: Component, tr_local: Trace,

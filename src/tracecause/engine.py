@@ -50,7 +50,7 @@ from .automata import has_joint_trace_of_length  # noqa: F401  (rebound by bench
 from .counterfactual import FaultModelKind, ModelAssignment, build_fault_model
 from .errors import BudgetExceeded, NotAnErrorTrace, UnknownComponent
 from .model import (SystemModel, ViolationReport, faulty_components,
-                    project_trace)
+                    project_trace, refinement)
 from .model import violates_global  # noqa: F401  (rebound by bench/tracing.py)
 from .records import Record, setfield
 
@@ -354,7 +354,10 @@ def _decide(ctx: _Context, kinds: tuple[FaultModelKind, ...],
     `SetMetrics` row.  Only a containment question builds the operand
     product, whose state and edge counts the row reports and whose bad
     set its walks read; they read successors off the factors' tables
-    (`automata._space`).  A universal one walks the factors' tables to
+    (`automata._space`).  Where every factor is its component's spec,
+    the operand is the specs' composition and its containment answer
+    is the refinement obligation's (`model.refinement`), which
+    validation has walked.  A universal one walks the factors' tables to
     the horizon (`find_trace_of_length` of the factors, then
     `has_trace_of_length` of the factors and the global spec) and
     reports None for both."""
@@ -364,7 +367,9 @@ def _decide(ctx: _Context, kinds: tuple[FaultModelKind, ...],
     if contained:
         # A containment witness exists exactly when containment fails.
         operand = product(factors)
-        res = contains(operand, ctx.m.global_spec)
+        res = (refinement(ctx.m)
+               if all(k is FaultModelKind.SPEC for k in kinds)
+               else contains(operand, ctx.m.global_spec))
         verdict = Verdict(res.holds, res.witness,
                           not has_trace_of_length(operand, h))
         return verdict, (operand.state_count, operand.edge_count, bound,

@@ -12,9 +12,10 @@ equality is meaningful.
 once, one bit per valuation, so no solver is involved.  A system file's
 guards are read by `scan_guard`: one pass over the text gives the guard
 as written together with its mask over the owner's variables and the
-check that it mentions no other variable; `parse_guard` is the same scan
-followed by `canonicalize`.  The scan caps nesting at `MAX_GUARD_DEPTH`,
-which bounds every recursion here.
+check that it mentions no other variable; `scan_mask` is the same scan
+building no guard, and `parse_guard` the same scan followed by
+`canonicalize`.  The scan caps nesting at `MAX_GUARD_DEPTH`, which
+bounds every recursion here.
 """
 
 from __future__ import annotations
@@ -255,10 +256,10 @@ def guard_text(g: Guard) -> str:
     raise TypeError(f"not a guard: {g!r}")
 
 
-# One match per token: an identifier or operator in group 1, or else the
-# first character that starts no token in group 2; whitespace matches
-# nothing, so `finditer` skips it.
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[!&|()])|(\S)")
+# One match per token: an identifier or operator in group 1, or else a
+# character that starts no token, with group 1 empty; whitespace matches
+# nothing, so `findall` and `finditer` skip it.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[!&|()])|\S")
 
 
 def scope_atoms(names: Iterable[str]) -> dict[str, tuple[Guard, int]]:
@@ -271,36 +272,40 @@ def scope_atoms(names: Iterable[str]) -> dict[str, tuple[Guard, int]]:
     return atoms
 
 
-def _error(message: str, matches: list, pos: int, text: str,
+def _error(message: str, pos: int, text: str,
            context: str | None) -> ParseError:
-    # The error at token ``pos``, or just past the text at its end.
+    # The error at token ``pos``, or just past the text at its end; only
+    # an error needs the tokens' positions.
+    matches = list(_TOKEN_RE.finditer(text))
     column = (matches[pos].start() + 1 if pos < len(matches)
               else len(text) + 1)
     return ParseError(message, line=1, column=column, context=context)
 
 
 def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],
-          context: str | None) -> tuple[Guard, int, list[str]]:
-    # One loop over the tokens of one `finditer` pass, building the AST as
-    # written and its mask over the scope of ``atoms`` together.  An
-    # identifier outside the scope gets mask 0 and is returned.  The group
-    # being read keeps its disjuncts before the last '|' in ``ors`` and
-    # its conjuncts since then in ``ands``, each list with its mask; an
-    # open '(' saves the enclosing group's four on ``opened`` and an open
-    # '!' puts None there, so its length is the nesting depth.  Only
-    # lists and tuples of guards: a scan leaves no reference cycle.
-    matches = list(_TOKEN_RE.finditer(text))
-    tokens: list = [m[1] for m in matches]
-    if None in tokens:
-        pos = tokens.index(None)
-        raise _error(f"unexpected character {matches[pos][2]!r} in guard",
-                     matches, pos, text, context)
+          context: str | None, build: bool = True
+          ) -> tuple[Guard | None, int, list[str]]:
+    # One loop over the tokens of one `findall` pass, computing the mask
+    # over the scope of ``atoms`` and, with ``build``, the AST as written
+    # (without it, the guard returned is not meaningful).  An identifier
+    # outside the scope gets mask 0 and is returned.  The group being
+    # read keeps its disjuncts before the last '|' in ``ors`` and its
+    # conjuncts since then in ``ands``, each list with its mask; an open
+    # '(' saves the enclosing group's four on ``opened`` and an open '!'
+    # puts None there, so its length is the nesting depth.  Only lists
+    # and tuples of guards: a scan leaves no reference cycle.
+    tokens: list = _TOKEN_RE.findall(text)
+    if "" in tokens:
+        pos = tokens.index("")
+        stray = list(_TOKEN_RE.finditer(text))[pos][0]
+        raise _error(f"unexpected character {stray!r} in guard",
+                     pos, text, context)
     tokens.append(None)
     full = atoms["true"][1]
     undeclared: list[str] = []
     opened: list = []
-    ors: list[Guard] = []
-    ands: list[Guard] = []
+    ors: list = []
+    ands: list = []
     or_mask, and_mask = 0, full
     pos = 0
     while True:
@@ -312,7 +317,7 @@ def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],
                 if len(opened) == MAX_GUARD_DEPTH:
                     raise _error(
                         f"guard nested deeper than {MAX_GUARD_DEPTH} levels",
-                        matches, pos, text, context)
+                        pos, text, context)
                 if tok == "!":
                     opened.append(None)
                 else:
@@ -322,12 +327,12 @@ def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],
                 continue
             if tok is None:
                 raise _error("unexpected end of guard",
-                             matches, pos, text, context)
+                             pos, text, context)
             if tok in ("&", "|", ")"):
                 raise _error(f"expected a guard atom, found {tok!r}",
-                             matches, pos, text, context)
+                             pos, text, context)
             undeclared.append(tok)
-            hit = Var(tok), 0
+            hit = Var(tok) if build else None, 0
         g, m = hit
         pos += 1
         # Close what the atom ends: the '!' before it, then, unless '&' or
@@ -336,7 +341,9 @@ def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],
         while True:
             while opened and opened[-1] is None:
                 opened.pop()
-                g, m = Not(g), full ^ m
+                m = full ^ m
+                if build:
+                    g = Not(g)
             tok = tokens[pos]
             if tok == "&":
                 ands.append(g)
@@ -344,7 +351,9 @@ def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],
                 break
             if ands:
                 ands.append(g)
-                g, m = And(tuple(ands)), and_mask & m
+                m &= and_mask
+                if build:
+                    g = And(tuple(ands))
                 ands, and_mask = [], full
             if tok == "|":
                 ors.append(g)
@@ -352,14 +361,16 @@ def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],
                 break
             if ors:
                 ors.append(g)
-                g, m = Or(tuple(ors)), or_mask | m
+                m |= or_mask
+                if build:
+                    g = Or(tuple(ors))
             if not opened:
                 if tok is not None:
                     raise _error(f"trailing input after guard: {tok!r}",
-                                 matches, pos, text, context)
+                                 pos, text, context)
                 return g, m, undeclared
             if tok != ")":
-                raise _error("expected ')'", matches, pos, text, context)
+                raise _error("expected ')'", pos, text, context)
             ors, or_mask, ands, and_mask = opened.pop()
             pos += 1
         pos += 1
@@ -380,6 +391,30 @@ def scan_guard(text: str, atoms: Mapping[str, tuple[Guard, int]],
         if extra:
             raise UndeclaredVariable(min(extra))
     return g, m
+
+
+def scan_mask(text: str, atoms: Mapping[str, tuple[Guard, int]],
+              context: str | None = None) -> int:
+    """The mask of `scan_guard`, with its errors, building no guard: the
+    same scan without its nodes.  Only a guard that mentions a variable
+    outside the scope is scanned again, by `scan_guard`, to decide
+    whether constant folding removes it."""
+    _, m, undeclared = _scan(text, atoms, context, build=False)
+    if undeclared:
+        scan_guard(text, atoms, context)
+    return m
+
+
+def cube_mask(valuation: Mapping[str, int], names: Iterable[str],
+              scope: Iterable[str]) -> int:
+    """`guard_mask` of ``cube(valuation, names)`` over ``scope`` (which
+    covers ``names``), building no guard."""
+    names, scope = frozenset(names), sorted(scope)
+    m = full = (1 << (1 << len(scope))) - 1
+    for name, var_mask in zip(scope, _var_masks(len(scope))):
+        if name in names:
+            m &= var_mask if valuation[name] else full ^ var_mask
+    return m
 
 
 _NO_VARIABLES = scope_atoms(())

@@ -8,14 +8,16 @@ every variable simultaneously, so projecting a global trace onto a
 component preserves its length.
 
 The system file is JSON (schema documented in the README).  Each guard
-is scanned once over its owner's variables (`guards.scan_guard`) and kept
-as written, with its edge mask; automaton declarations may be left
-incomplete and are completed into a designated sink state at parse time
-(`complete_with`: "bad" by default, so an unspecified input counts as a
-violation), deciding coverage on those masks.  A system may declare at
-most `MAX_VARIABLES` variables.  Serialization is byte-deterministic:
-components, states and edges keep their declared order, guards print in
-canonical form, variables sort by name.
+is scanned once over its owner's variables for its edge mask
+(`guards.scan_mask`) and kept as its text, from which the guard as
+written is built only when the automaton's edges are read (for
+printing); automaton declarations may be left incomplete and are
+completed into a designated sink state at parse time (`complete_with`:
+"bad" by default, so an unspecified input counts as a violation),
+deciding coverage on those masks.  A system may declare at most
+`MAX_VARIABLES` variables.  Serialization is byte-deterministic and
+written by `jsontext.dumps`: components, states and edges keep their
+declared order, guards print in canonical form, variables sort by name.
 """
 
 from __future__ import annotations
@@ -23,17 +25,20 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable
+from functools import partial
 
-from .automata import (Diagnostic, RunResult, SafetyAutomaton, Trace,
-                       Valuation, check_wellformed, contains, run)
+from .automata import (ContainmentResult, Diagnostic, RunResult,
+                       SafetyAutomaton, Trace, Valuation, check_wellformed,
+                       contains, run)
 from .automata import product  # noqa: F401  (rebound by bench/tracing.py)
 from .errors import (BudgetExceeded, DomainMismatch, DuplicateAssignment,
                      MissingVariable, ParseError, SchemaError,
                      UndeclaredVariable, UnknownVariable, ValidationError)
-from .guards import (TRUE, Or, canonicalize, guard_text, is_variable_name,
-                     negate, scan_guard, scope_atoms)
+from .guards import (Or, canonicalize, guard_text, is_variable_name,
+                     negate, scan_guard, scan_mask, scope_atoms)
 from .guards import (  # noqa: F401  (rebound by bench/tracing.py)
     disj, guard_vars, parse_guard, satisfiable)
+from .jsontext import dumps
 from .records import Record, setfield
 
 
@@ -74,14 +79,18 @@ class Component(Record):
 
 class SystemModel(Record):
     """Components in declaration order plus the global spec over all
-    component variables."""
+    component variables.  The private ``_refinement`` keeps the answer of
+    `refinement` once it is walked; it takes no part in equality,
+    hashing or ``repr``."""
 
-    __slots__ = ("components", "global_spec")
+    __slots__ = ("components", "global_spec", "_refinement")
 
     def __init__(self, components: tuple[Component, ...],
-                 global_spec: SafetyAutomaton):
+                 global_spec: SafetyAutomaton,
+                 _refinement: ContainmentResult | None = None):
         setfield(self, "components", components)
         setfield(self, "global_spec", global_spec)
+        setfield(self, "_refinement", _refinement)
         if not self.components:
             raise ValidationError("a system needs at least one component")
         names = [c.name for c in self.components]
@@ -177,15 +186,16 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
     if polarity not in ("bad", "good"):
         raise SchemaError(f"{where}: complete_with must be 'bad' or 'good'")
 
-    # Each guard is scanned once over the scope: its AST as written and
-    # its edge mask.  Completion decides coverage on the masks; only a
-    # state that leaves some letter uncovered gets a symbolic residual
-    # guard.  The masks, the residual's and the sink's included, go to
-    # the automaton, so the wellformedness check and its transition
-    # tables reuse them.
+    # Each guard is scanned once over the scope, for its edge mask alone.
+    # Completion decides coverage on the masks; a state that leaves some
+    # letter uncovered gets an edge to the sink, whose guard is the
+    # residual of the state's guards.  The automaton reads the masks and
+    # targets; its guards are built from the texts (`_written_guards`)
+    # only if its edges are printed.
     atoms = scope_atoms(scope)
     full = atoms["true"][1]
-    edges: dict[str, list] = {s: [] for s in states}
+    texts: dict[str, list] = {s: [] for s in states}
+    targets: dict[str, list[str]] = {s: [] for s in states}
     masks: dict[str, list[int]] = {s: [] for s in states}
     raw_edges = _expect(obj, "edges", list, where)
     for i, e in enumerate(raw_edges):
@@ -200,23 +210,23 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
         if dst not in states:
             raise SchemaError(f"{ewhere}: unknown target state {dst!r}")
         try:
-            g, mask = scan_guard(text, atoms, context=ewhere)
+            mask = scan_mask(text, atoms, context=ewhere)
         except UndeclaredVariable as e:
             raise ValidationError(
                 f"{ewhere}: guard mentions undeclared variable "
                 f"{e.args[0]!r}") from None
-        edges[src].append((g, dst))
+        texts[src].append(text)
+        targets[src].append(dst)
         masks[src].append(mask)
 
     # Complete missing transitions into a sink of the declared polarity.
-    uncovered: dict[str, object] = {}
+    uncovered = []
     for s in states:
         covered = 0
         for m in masks[s]:
             covered |= m
         if covered != full:
-            # The guards are as written; negate canonicalizes them all.
-            uncovered[s] = negate(Or(tuple(g for g, _ in edges[s])))
+            uncovered.append(s)
             masks[s].append(full & ~covered)
     bad_set = set(bad)
     if uncovered:
@@ -224,20 +234,38 @@ def _automaton_from_obj(obj, scope: Iterable[str], where: str) -> SafetyAutomato
         while sink in states:
             sink = "_" + sink
         states = states + [sink]
-        edges[sink] = [(TRUE, sink)]
-        masks[sink] = [full]
+        texts[sink], targets[sink], masks[sink] = ["true"], [sink], [full]
         if polarity == "bad":
             bad_set.add(sink)
-        for s, residual in uncovered.items():
-            edges[s].append((residual, sink))
+        for s in uncovered:
+            texts[s].append(None)
+            targets[s].append(sink)
 
-    aut = SafetyAutomaton(scope, states, initial, bad_set, edges, masks=masks)
+    aut = SafetyAutomaton.from_masks(
+        scope, states, initial, bad_set, targets, masks,
+        partial(_written_guards, tuple(sorted(scope)), texts))
     diags = check_wellformed(aut)
     if diags:
         raise ValidationError(
             f"{where}: " + "; ".join(f"{d.kind}: {d.message}" for d in diags),
             diags)
     return aut
+
+
+def _written_guards(scope: tuple[str, ...], texts: dict[str, list]
+                    ) -> dict[str, list]:
+    """Per state of a parsed automaton over ``scope``, the guard of each
+    edge as written, from its text; None stands for the completion's
+    residual, the negation of the guards before it, which `negate`
+    canonicalizes."""
+    atoms = scope_atoms(scope)
+    guards = {}
+    for s, ts in texts.items():
+        gs = guards[s] = []
+        for text in ts:
+            gs.append(negate(Or(tuple(gs))) if text is None
+                      else scan_guard(text, atoms)[0])
+    return guards
 
 
 def system_from_dict(obj: dict) -> SystemModel:
@@ -402,19 +430,30 @@ def system_to_dict(m: SystemModel) -> dict:
 
 def serialize_system(m: SystemModel) -> str:
     """Byte-deterministic JSON text for ``m``."""
-    return json.dumps(system_to_dict(m), indent=2) + "\n"
+    return dumps(system_to_dict(m)) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # semantics
 
+def refinement(m: SystemModel) -> ContainmentResult:
+    """Whether the composition of all component specs is contained in the
+    global spec: `contains` of the specs, searched on the fly from their
+    transition tables, not built.  Walked once per model: the answer is
+    kept in the model, so an analysis whose operand is the composition of
+    the specs reads it instead of walking the same question again."""
+    res = m._refinement
+    if res is None:
+        res = contains([c.spec for c in m.components], m.global_spec)
+        setfield(m, "_refinement", res)
+    return res
+
+
 def validate_system(m: SystemModel) -> list[Diagnostic]:
-    """Check the refinement obligation: the composition of all component
-    specs must be contained in the global spec.  Empty when it holds;
-    otherwise one diagnostic carrying a witness trace.  The composition
-    is searched on the fly from the specs' transition tables (`contains`
-    of the specs), not built."""
-    res = contains([c.spec for c in m.components], m.global_spec)
+    """Check the refinement obligation (`refinement`): the composition of
+    all component specs must be contained in the global spec.  Empty when
+    it holds; otherwise one diagnostic carrying a witness trace."""
+    res = refinement(m)
     if res.holds:
         return []
     return [Diagnostic(

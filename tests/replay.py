@@ -12,7 +12,10 @@ command.
     PYTHONPATH=src python tests/replay.py           # compare
     PYTHONPATH=src python tests/replay.py --write   # re-record
 
-Comparing lists every call that differs and exits 1 if any does.
+Comparing lists every call that differs and exits 1 if any does.  Both
+modes also check that every ``--json`` report is the text
+``json.dumps(doc, indent=2)`` gives for its document, and exit 1 before
+anything else if one is not.
 Re-record only when a report change is intended, or when
 ``bench/workloads.py`` changes the families.  pytest does not collect
 this module; it needs no test extras.
@@ -48,12 +51,18 @@ def _load_workloads():
     return module
 
 
-def _digest(argv: list[str]) -> str:
+def _digest(argv: list[str]) -> tuple[str, bool]:
+    """The digest of one call, and whether its stdout, when it is a
+    ``--json`` report, is what ``json.dumps(doc, indent=2)`` writes for
+    its document (the report writer must give the same text)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    call = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(call.encode("utf-8")).hexdigest()
+    text = out.getvalue()
+    call = json.dumps([code, text, err.getvalue()])
+    as_stdlib = ("--json" not in argv or not text
+                 or text == json.dumps(json.loads(text), indent=2) + "\n")
+    return hashlib.sha256(call.encode("utf-8")).hexdigest(), as_stdlib
 
 
 def _calls(workloads, where: Path):
@@ -86,15 +95,25 @@ def _calls(workloads, where: Path):
                                 *job.flags])
 
 
-def replay() -> dict[str, str]:
+def replay() -> tuple[dict[str, str], list[str]]:
+    """The digest of each call, and the calls whose ``--json`` report is
+    not the standard library's text of its document."""
     workloads = _load_workloads()
+    digests, unlike = {}, []
     with tempfile.TemporaryDirectory() as tmp:
-        return {key: _digest(argv)
-                for key, argv in _calls(workloads, Path(tmp))}
+        for key, argv in _calls(workloads, Path(tmp)):
+            digests[key], as_stdlib = _digest(argv)
+            if not as_stdlib:
+                unlike.append(key)
+    return digests, unlike
 
 
 def run(write: bool) -> int:
-    digests = replay()
+    digests, unlike = replay()
+    for key in unlike:
+        print(f"not json.dumps(doc, indent=2): {key}")
+    if unlike:
+        return 1
     if write:
         DATA.parent.mkdir(exist_ok=True)
         DATA.write_text(json.dumps(digests, indent=0) + "\n",

@@ -11,11 +11,16 @@ guard as written, its mask, the undeclared variable, and the
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 
 from tracecause.errors import ParseError, UndeclaredVariable
-from tracecause.guards import (MAX_GUARD_DEPTH, _TOKEN_RE, And, Guard, Not,
-                               Or, Var, canonicalize, guard_vars)
+from tracecause.guards import (MAX_GUARD_DEPTH, And, Guard, Not, Or, Var,
+                               canonicalize, guard_vars)
+
+# The earlier scanner's tokens: an identifier or operator in group 1, or
+# else the first character that starts no token in group 2.
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*|[!&|()])|(\S)")
 
 
 def _scan(text: str, atoms: Mapping[str, tuple[Guard, int]],

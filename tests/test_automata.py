@@ -512,6 +512,9 @@ def test_transition_table_is_built_once_per_scope(monkeypatch):
     assert a.transition_table(["x"]) is not first
 
 
+_ALWAYS_ZERO_X_GUARDS = {"g": (Not(Var("x")), Var("x")), "b": (TRUE,)}
+
+
 class _CountingEdges(dict):
     """An edge map that counts, per state, how often its edges are read."""
 
@@ -529,11 +532,12 @@ class _CountingEdges(dict):
 
 
 def test_edges_are_read_once_per_state():
-    # Masks handed over up front, so only the letter classes read the edges.
-    a = SafetyAutomaton(["x"], ["g", "b"], "g", ["b"], {
-        "g": [(Not(Var("x")), "g"), (Var("x"), "b")], "b": [(TRUE, "b")]},
-        masks={"g": (0b01, 0b10), "b": (0b11,)})
-    a.edges = _CountingEdges(a.edges)
+    # Masks handed over up front, so only the letter classes read the
+    # edges, and of them only the targets: no guard is built.
+    a = SafetyAutomaton.from_masks(
+        ["x"], ["g", "b"], "g", ["b"], {"g": ("g", "b"), "b": ("b",)},
+        {"g": (0b01, 0b10), "b": (0b11,)}, _ALWAYS_ZERO_X_GUARDS.copy)
+    a._targets = _CountingEdges(a._targets)
     for q in a.states:
         for v in enumerate_valuations(["x", "y"]):
             a.step(q, v)
@@ -541,7 +545,9 @@ def test_edges_are_read_once_per_state():
         p = product([a, always_zero("y")])
         product([always_zero("z"), a])
     a.transition_table(["x", "y", "z"])
-    assert a.edges.reads == {"g": 1, "b": 1}
+    assert a._targets.reads == {"g": 1, "b": 1}
+    assert a._edges is None
+    assert a == always_zero("x")
     assert a._edge_rows() is a._edge_rows()
     # A product steps by its members' letter classes and builds no guarded
     # edge for it.

@@ -16,6 +16,7 @@ import pytest
 import tracecause
 import tracecause.cli as cli
 import tracecause.engine
+import tracecause.model
 from tracecause.automata import contains
 from tracecause.cli import main
 from tracecause.engine import MAX_EVALUATIONS
@@ -401,7 +402,9 @@ def test_only_stats_and_the_search_check_monotonicity(capsys, monkeypatch,
     """The monotonicity check, one `contains` per component with a fault
     model on the right, runs where ``monotone_pruning`` is read: for
     `stats` and for the both-ends search of ``--minimal-only``.  Any
-    other `contains` of an analysis has the global spec on the right."""
+    other `contains` of an analysis has the global spec on the right;
+    validation's walk is one of them, reused as the answer of the
+    operand of the components' specs."""
     specs, rights = [], []
 
     def validating(m):
@@ -414,6 +417,7 @@ def test_only_stats_and_the_search_check_monotonicity(capsys, monkeypatch,
 
     monkeypatch.setattr(cli, "validate_system", validating)
     monkeypatch.setattr(tracecause.engine, "contains", counting)
+    monkeypatch.setattr(tracecause.model, "contains", counting)
     monotone = ["--model", "A=arbitrary", "--model", "B=arbitrary"]
 
     def calls(command, *flags):
@@ -424,11 +428,43 @@ def test_only_stats_and_the_search_check_monotonicity(capsys, monkeypatch,
         return operands, len(rights) - operands
 
     operands, checks = calls("analyze")
-    assert operands > 0 and checks == 0
+    assert operands > 1 and checks == 0
     assert calls("stats") == (operands, 2)
     assert calls("analyze", "--minimal-only")[1] == 2
+    # Validation's walk is the only containment of a universal analysis.
     assert calls("stats", "--mode", "manifestation",
-                 "--quantifier", "universal") == (0, 0)
+                 "--quantifier", "universal") == (1, 0)
+
+
+@pytest.mark.parametrize("flags", [[], ["--minimal-only"],
+                                   ["--model", "A=arbitrary"]])
+def test_spec_operand_reuses_the_refinement_walk(capsys, monkeypatch,
+                                                 ab_files, flags):
+    """With every counterfactual kind ``spec``, the operand of the
+    components' specs asks what validation asked: the analysis reads
+    validation's answer, so it walks one `contains` fewer than when it
+    walks that question again, and reports the same bytes."""
+    walks = []
+
+    def counting(a, b):
+        walks.append(b)
+        return contains(a, b)
+
+    monkeypatch.setattr(tracecause.engine, "contains", counting)
+    monkeypatch.setattr(tracecause.model, "contains", counting)
+
+    def run(command):
+        """(walks, stdout) of one call."""
+        walks.clear()
+        code, out, _ = run_cli(capsys, command, *ab_files, *flags, "--json")
+        assert code == 0
+        return len(walks), out
+
+    reused = {command: run(command) for command in ("analyze", "stats")}
+    monkeypatch.setattr(tracecause.engine, "refinement", lambda m: counting(
+        [c.spec for c in m.components], m.global_spec))
+    for command, (n, out) in reused.items():
+        assert run(command) == (n + 1, out)
 
 
 def test_stats_json_bounds(capsys, ab_files):

@@ -534,13 +534,24 @@ def test_one_invocation_builds_each_factor_once(capsys, monkeypatch,
                 calls[name] += 1
                 return real(*args)
             monkeypatch.setattr(module, name, counting)
+    # With validation skipped, the question of the components' specs is
+    # walked by the analysis, once however often it is asked.
+    def walking(*args):
+        calls["refinement"] += 1
+        return contains(*args)
+
+    monkeypatch.setattr(model, "contains", walking)
+    spec_operands = 0
     for argv in itertools.islice(cli_cases(tmp_path), 16):
         builds.clear()
         calls.clear()
         cli_main([command, *argv])
         capsys.readouterr()
         assert builds and set(builds.values()) == {1}
+        assert calls["refinement"] <= 1
+        spec_operands += calls.pop("refinement", 0)
         assert calls == Counter(faulty_components=1)
+    assert spec_operands > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from tracecause.errors import ParseError, UndeclaredVariable
 from tracecause.guards import (FALSE, MAX_GUARD_DEPTH, TRUE, And, Not, Or,
-                               Var, canonicalize, cube, disj, guard_eval,
-                               guard_mask, guard_text, guard_vars, negate,
-                               parse_guard, satisfiable, scan_guard,
-                               scope_atoms)
+                               Var, canonicalize, cube, cube_mask, disj,
+                               guard_eval, guard_mask, guard_text, guard_vars,
+                               negate, parse_guard, satisfiable, scan_guard,
+                               scan_mask, scope_atoms)
 
 import scan_reference
 from oracle import all_valuations, oracle_eval
@@ -250,3 +250,37 @@ def test_scan_agrees_with_parse_then_mask(text, scope):
         assert canonicalize(g) == parse_guard(text)
         got = "mask", mask
     assert got == _reference(text, scope)
+
+
+def _masked(text, scope):
+    """What `scan_mask` gives, in the form of `_scanned`: the mask, the
+    parse error, or the undeclared variable."""
+    try:
+        return "mask", scan_mask(text, scope_atoms(scope), context="edge")
+    except ParseError as e:
+        return "parse", e.message, e.column
+    except UndeclaredVariable as e:
+        return "undeclared", e.args[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_guard_texts(), st.lists(st.sampled_from(_POOL), unique=True,
+                                max_size=5))
+@example("a & $", ["a"])
+@example("z & !z | a", ["a"])
+@example("z | true", ["a"])
+def test_mask_only_scan_agrees_with_reference(text, scope):
+    # The same scan building no guard: the same mask, or the same error
+    # with its message and column.
+    expected = _scanned(scan_reference.scan_guard, text, scope)
+    if expected[0] == "guard":
+        expected = "mask", expected[2]
+    assert _masked(text, scope) == expected
+
+
+def test_cube_mask_is_the_mask_of_the_cube():
+    scope = ["a", "b", "c"]
+    for v in all_valuations(scope):
+        for names in ([], ["b"], ["a", "c"], scope):
+            assert cube_mask(v, names, scope) == guard_mask(cube(v, names),
+                                                            scope)

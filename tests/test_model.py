@@ -16,7 +16,8 @@ from tracecause.errors import (DomainMismatch, DuplicateAssignment,
                                MissingVariable, ParseError, SchemaError,
                                UnknownVariable, ValidationError)
 from tracecause.guards import (FALSE, TRUE, And, Not, Or, Var, canonicalize,
-                               disj, guard_mask, negate, parse_guard)
+                               disj, guard_mask, negate, parse_guard,
+                               scan_guard, scope_atoms)
 from tracecause.model import (Component, SystemModel, automaton_to_dict,
                               faulty_components, parse_system, parse_trace,
                               project_trace, serialize_system, system_from_dict,
@@ -96,8 +97,12 @@ def test_incomplete_state_gets_the_residual_guard(monkeypatch, polarity):
     doc["global_spec"] = spec
     calls = count_negate_calls(monkeypatch)
     m = system_from_dict(doc)
-    # one residual per incomplete state: "g" in each component spec and
-    # "g" here; "h" and the declared sink are complete
+    # No residual is built before the edges are read; then one per
+    # incomplete state: "g" in each component spec and "g" here; "h" and
+    # the declared sink are complete.
+    assert calls == []
+    for a in [c.spec for c in m.components] + [m.global_spec]:
+        assert a.edges
     assert len(calls) == 3
     g = m.global_spec
     sink = f"_sink_{polarity}"  # the declared name is taken
@@ -105,6 +110,11 @@ def test_incomplete_state_gets_the_residual_guard(monkeypatch, polarity):
     assert (sink in g.bad) == (polarity == "bad")
     residual = negate(disj([parse_guard("x & y"), parse_guard("!x")]))
     assert g.edges["g"][-1] == (canonicalize(residual), sink)
+    # The residual an eager completion builds from the guards as written.
+    atoms = scope_atoms(g.vars)
+    written = tuple(scan_guard(t, atoms)[0] for t in ("x & y", "!x"))
+    assert g.edges["g"] == (*zip(written, ("h", "g")),
+                            (negate(Or(written)), sink))
     assert len(g.edges["h"]) == 1
     assert g.edges[sink] == ((parse_guard("true"), sink),)
 
