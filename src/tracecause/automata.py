@@ -25,16 +25,18 @@ table read the rows, and a table over a wider scope reads each
 letter's entry at its restriction.  A product never builds guards to
 explore: its letter classes, and so its rows, are its members' classes
 AND-ed member by member, and it finds each tuple's successors the same
-way.  Every search is one layered walk over successor rows, of
-states or of pairs of states (`_layers`), and every witness is spelled
-back through its layers (`_spell`).  No search builds a product:
-`contains` and the horizon questions also take a sequence of automata
-and walk their product on the fly, and each takes its start state,
-successor rows and bad states from one place (`_space`), which walks
-tuples of member states off the members' tables (`_Tuples`): an
-automaton is a sequence of one, a built product its members.  So any
-incomplete member refuses a search, as its table does.  A scope of n
-variables has 2^n letters.
+way (`_branches`), keeping only their target tuples; which member edges
+led to a successor is read off the members' classes again only when
+its guards are printed.  Every search is one layered walk over
+successor rows, of states or of pairs of states (`_layers`), and every
+witness is spelled back through its layers (`_spell`).  No search
+builds a product: `contains` and the horizon questions also take a
+sequence of automata and walk their product on the fly, and each takes
+its start state, successor rows and bad states from one place
+(`_space`), which walks tuples of member states off the members'
+tables (`_Tuples`): an automaton is a sequence of one, a built product
+its members.  So any incomplete member refuses a search, as its table
+does.  A scope of n variables has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
 name, valuations in binary counting order with the lexicographically
@@ -94,9 +96,13 @@ class Valuation(Mapping):
         return frozenset(self._map)
 
     def restrict(self, names: Iterable[str]) -> "Valuation":
+        return self._restrict(tuple(sorted(names)))
+
+    def _restrict(self, names: tuple[str, ...]) -> "Valuation":
+        """`restrict` to the already sorted ``names``."""
         try:
             return Valuation._from_items(
-                tuple((n, self._map[n]) for n in sorted(names)))
+                tuple(zip(names, map(self._map.__getitem__, names))))
         except KeyError as e:
             raise DomainMismatch(
                 f"valuation over {sorted(self._map)} lacks variable {e.args[0]}"
@@ -121,6 +127,11 @@ class Valuation(Mapping):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # The hash of a string depends on the process's hash seed, so a
+        # loaded valuation hashes afresh instead of keeping the cached one.
+        return Valuation._from_items, (self._items,)
 
     def __repr__(self) -> str:
         return f"Valuation({{{self.to_text()}}})"
@@ -159,6 +170,13 @@ class Trace(Sequence):
                         f"expected {sorted(dom)}")
         self._steps = steps
 
+    @classmethod
+    def _from_steps(cls, steps: tuple[Valuation, ...]) -> "Trace":
+        """The trace of ``steps``, known to share one domain."""
+        t = cls.__new__(cls)
+        t._steps = steps
+        return t
+
     @property
     def steps(self) -> tuple[Valuation, ...]:
         return self._steps
@@ -168,15 +186,17 @@ class Trace(Sequence):
         return self._steps[0].domain if self._steps else None
 
     def restrict(self, names: Iterable[str]) -> "Trace":
+        """Each step restricted to ``names``, sorted once; the steps then
+        share one domain, which is not checked again."""
         names = tuple(sorted(names))
-        return Trace(s.restrict(names) for s in self._steps)
+        return Trace._from_steps(tuple(s._restrict(names) for s in self._steps))
 
     def to_text(self) -> str:
         return "\n".join(s.to_text() for s in self._steps)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Trace(self._steps[i])
+            return Trace._from_steps(self._steps[i])
         return self._steps[i]
 
     def __len__(self) -> int:
@@ -572,29 +592,41 @@ def run(a: SafetyAutomaton, t: Trace) -> RunResult:
 
 class _Product(SafetyAutomaton):
     """A reachable product kept as its members and, per state, the
-    successor of each tuple of member edges taken together on some letter
-    (lexicographic order), which are its edges' targets; its letter
-    classes, and so its edge rows and transition tables, come from
-    the members' classes; the guarded edges are built from the members on
-    first access.  A search walks the members (`_space`) and builds no
+    target tuple of each tuple of member edges taken together on some
+    letter (lexicographic order), which are its edges' targets; its
+    letter classes, and so its edge rows and transition tables, come
+    from the members' classes.  The guarded edges are built from the
+    members on first access, each member's edge recovered from its
+    letter classes.  A search walks the members (`_space`) and builds no
     row of the product."""
 
-    __slots__ = ("_members", "_succ")
+    __slots__ = ("_members",)
 
     def _guarded_edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
+        """Each edge conjoins, member by member, the guard of the member
+        edge whose letter class holds the least letter of the edge's."""
+        classes = [a._edge_classes(self.vars) for a in self._members]
         member_edges = [a.edges for a in self._members]
-        return {s: tuple((And(tuple(e[q][k][0] for e, q, k
-                                    in zip(member_edges, s, combo))), t)
-                         for combo, t in succ.items())
-                for s, succ in self._succ.items()}
+        full = (1 << (1 << len(self.vars))) - 1
+        edges = {}
+        for s in self.states:
+            out = []
+            for ts, m in _branches(classes, s, full):
+                low = m & -m
+                out.append((And(tuple(
+                    e[q][next(k for (k,), _, c in cs[q] if c & low)][0]
+                    for e, cs, q in zip(member_edges, classes, s))), ts))
+            edges[s] = tuple(out)
+        return edges
 
     def _letter_classes(self) -> dict[State, tuple]:
         """Letter classes from the members' classes: the letters of an
         edge are those its tuple of member edges takes together."""
         classes = [a._edge_classes(self.vars) for a in self._members]
-        return {s: tuple(((k,), (t,), m) for k, (_, t, m)
-                         in enumerate(_branches(classes, s)))
-                for s in self._succ}
+        full = (1 << (1 << len(self.vars))) - 1
+        return {s: tuple(((k,), (ts,), m) for k, (ts, m)
+                         in enumerate(_branches(classes, s, full)))
+                for s in self.states}
 
 
 def _union(automata: Iterable[SafetyAutomaton], names: Iterable[str] = ()
@@ -607,20 +639,25 @@ def _union(automata: Iterable[SafetyAutomaton], names: Iterable[str] = ()
     return members, tuple(sorted(set(names).union(*(m.vars for m in members))))
 
 
-def _branches(classes: Sequence[Mapping], s: tuple
-              ) -> Sequence[tuple[tuple, tuple, int]]:
-    """The tuples of edges that the states ``s`` of some automata take
-    together on some letter, in lexicographic order, each with its tuple
-    of targets and the mask of those letters.  Automaton by automaton,
-    each of its state's letter classes (``classes``, from `_edge_classes`
-    over one scope) splits every branch so far, and a branch whose mask
-    is empty is dropped at once."""
-    pairs = zip(classes, s)
-    c, q = next(pairs)
-    branches = c[q]
-    for c, q in pairs:
-        branches = [(ks + k, ts + t, both) for ks, ts, m in branches
-                    for k, t, e in c[q] if (both := m & e)]
+def _branches(classes: Sequence[Mapping], s: tuple, full: int
+              ) -> list[tuple[tuple, int]]:
+    """The target tuple and the mask of letters of each tuple of edges that
+    the states ``s`` of some automata take together on some letter, in
+    lexicographic order of those tuples of edges.  Automaton by
+    automaton, each of its state's letter classes (``classes``, from
+    `_edge_classes` over one scope) splits every branch so far, and a
+    branch whose mask is empty is dropped at once.  A state whose one
+    class holds every letter (``full``), such as an absorbing sink or a
+    ``true`` self-loop, extends each branch with its target unsplit."""
+    cs = map(getitem, classes, s)
+    branches = [(t, m) for _, t, m in next(cs)]
+    for c in cs:
+        if len(c) == 1 and c[0][2] == full:
+            t = c[0][1]
+            branches = [(ts + t, m) for ts, m in branches]
+        else:
+            branches = [(ts + t, both) for ts, m in branches
+                        for _, t, e in c if (both := m & e)]
     return branches
 
 
@@ -628,43 +665,43 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     """Synchronized product over the union variable scope.
 
     States are the reachable tuples of member states, a tuple being bad
-    iff any coordinate is, found breadth first.  Each state's successors
-    are keyed by the tuples of member edges taken together on some
-    letter, in lexicographic order, and found by its members' letter
-    classes (`_branches`).  The letter classes, edge rows and transition
-    table are built from the members' classes only on request, and the
-    edges, guarded by the plain conjunction of the member guards, only
-    when ``edges`` is read.  Each member follows
-    its first enabled edge; on a letter where some member has none, the
-    product state has none either.  Since every guard mentions only its
-    own automaton's variables, this realizes intersection of the
-    inverse-projected (cylindrified) languages with no extra
-    construction.
+    iff any coordinate is, found breadth first.  Each state keeps only
+    its edges' targets: one target tuple per tuple of member edges taken
+    together on some letter, in lexicographic order of those tuples,
+    found by its members' letter classes (`_branches`), so two edges may
+    share a target.  The letter classes, edge rows and transition table
+    are built from the members' classes only on request, and the edges,
+    guarded by the plain conjunction of the member guards, only when
+    ``edges`` is read.  Each member follows its first enabled edge; on a
+    letter where some member has none, the product state has none
+    either.  Since every guard mentions only its own automaton's
+    variables, this realizes intersection of the inverse-projected
+    (cylindrified) languages with no extra construction.
     """
     automata, scope = _union(automata)
     classes = [a._edge_classes(scope) for a in automata]
     bads = [a.bad for a in automata]
+    full = (1 << (1 << len(scope))) - 1
 
     init = tuple(a.initial for a in automata)
-    # Reachable states in discovery order, each with its successor per
-    # tuple of member edges (None until the state is explored).
-    succ_of: dict[State, dict | None] = {init: None}
+    # Reachable states in discovery order, each with its edges' targets
+    # (None until the state is explored).
+    targets: dict[State, tuple | None] = {init: None}
     queue = deque([init])
     while queue:
         s = queue.popleft()
-        succ = succ_of[s] = {ks: ts for ks, ts, _ in _branches(classes, s)}
-        for t in succ.values():
-            if t not in succ_of:
-                succ_of[t] = None
+        out = targets[s] = tuple([t for t, _ in _branches(classes, s, full)])
+        for t in out:
+            if t not in targets:
+                targets[t] = None
                 queue.append(t)
 
     # Built in place: the parts are already normalized and checked.
     p = _Product.__new__(_Product)
-    p.vars, p.states, p.initial = scope, tuple(succ_of), init
-    p.bad = frozenset(s for s in succ_of
+    p.vars, p.states, p.initial = scope, tuple(targets), init
+    p.bad = frozenset(s for s in targets
                       if any(map(frozenset.__contains__, bads, s)))
-    p._members, p._succ, p._edges, p._guards = automata, succ_of, None, None
-    p._targets = {s: tuple(succ.values()) for s, succ in succ_of.items()}
+    p._members, p._targets, p._edges, p._guards = automata, targets, None, None
     p._masks, p._rows = None, None
     p._classes, p._tables = {}, {}
     return p

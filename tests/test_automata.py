@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +65,60 @@ def test_trace_demands_one_domain():
         Trace([Valuation({"x": 0}), Valuation({"y": 0})])
     assert Trace([]).domain is None
     assert len(T({"x": 0}, {"x": 1})) == 2
+
+
+# A valuation and a trace pickled in one process, then loaded in another
+# and looked up in sets and dicts next to fresh ones built there.
+PICKLE_ACROSS_PROCESSES = """
+import pickle, sys
+from tracecause.automata import Trace, Valuation
+v = Valuation({"x": 1, "y": 0})
+t = Trace([v, Valuation({"x": 0, "y": 0})])
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps((v, t, {v: "v"}, {t: "t"})))
+else:
+    lv, lt, vkeys, tkeys = pickle.loads(sys.stdin.buffer.read())
+    print(lv == v, lv in {v}, v in {lv}, len({lv, v}), vkeys.get(v),
+          lt == t, lt in {t}, t in {lt}, len({lt, t}), tkeys.get(t),
+          lt.restrict(["x"]) in {t.restrict(["x"])})
+"""
+
+
+def test_pickled_valuations_and_traces_hash_afresh():
+    """A valuation caches its hash, which hashes strings and so depends on
+    the process's hash seed; pickled under one seed and loaded under
+    another, it and a trace of it still equal, find and are found as the
+    ones built there, in sets and as dict keys."""
+    src = os.path.dirname(os.path.dirname(tracecause.automata.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def child(mode, seed, data=None):
+        done = subprocess.run(
+            [sys.executable, "-c", PICKLE_ACROSS_PROCESSES, mode],
+            input=data, capture_output=True, timeout=60,
+            env=dict(env, PYTHONHASHSEED=seed), check=True)
+        return done.stdout
+
+    data = child("dump", "1")
+    assert child("load", "2", data).decode().split() == [
+        "True", "True", "True", "1", "v",
+        "True", "True", "True", "1", "t", "True"]
+
+
+def test_trace_restrict_keeps_order_and_refusal():
+    """Each step is restricted to the names sorted once, and a name no
+    step has is refused with the valuation's message."""
+    t = T({"b": 1, "a": 0, "c": 1}, {"b": 0, "a": 1, "c": 1})
+    r = t.restrict(["c", "a"])
+    assert r == T({"a": 0, "c": 1}, {"a": 1, "c": 1})
+    assert [s.to_text() for s in r] == ["a=0 c=1", "a=1 c=1"]
+    assert r.domain == {"a", "c"}
+    assert t.restrict([]) == T({}, {})
+    assert Trace().restrict(["z"]) == Trace()
+    with pytest.raises(DomainMismatch) as e:
+        t.restrict(["z", "a"])
+    assert str(e.value) == "valuation over ['a', 'b', 'c'] lacks variable z"
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +342,69 @@ def test_product_with_nondeterministic_member_takes_first_edge():
         "s": [(TRUE, "s"), (Var("x"), "t")], "t": [(TRUE, "t")]})
     p = assert_product_matches_members([both, always_zero("y")])
     assert [s for s, _ in p.states] == ["s", "s"]
+
+
+def test_product_keeps_a_target_per_tuple_of_member_edges():
+    """A member state with two edges to one target: the product keeps one
+    target per tuple of member edges taken on some letter, the duplicate
+    included, so `edge_count` counts those tuples, and its edges equal
+    the eager build's, whether that member comes first or not."""
+    split = SafetyAutomaton(["x"], ["s"], "s", [], {
+        "s": [(Var("x"), "s"), (Not(Var("x")), "s")]})
+    for auts, want in (
+            ([split, always_zero("y")], (("s", "g"), ("s", "b")) * 2),
+            ([always_zero("y"), split], (("g", "s"),) * 2 + (("b", "s"),) * 2)):
+        p = product(auts)
+        assert p._targets[p.initial] == want
+        bad = [s for s in p.states if s != p.initial]
+        assert [len(p._targets[s]) for s in bad] == [2]
+        assert p.edge_count == 6
+        assert_edges_match_eager_build(p, auts)
+
+
+def test_one_class_missing_letters_leaves_the_gap():
+    """A member state whose one letter class misses some letters, bad or
+    good, first member or not, is split like any other: the product has
+    no edge where that member has none, reports `incomplete-state` at
+    each such state on its first uncovered letter, and refuses every
+    search."""
+    only_zero = SafetyAutomaton(["x"], ["s"], "s", [],
+                                {"s": [(Not(Var("x")), "s")]})
+    falls = SafetyAutomaton(["x"], ["g", "b"], "g", ["b"], {
+        "g": [(Not(Var("x")), "g"), (Var("x"), "b")],
+        "b": [(Not(Var("x")), "b")]})
+    for auts in ([only_zero, always_zero("y")], [always_zero("y"), only_zero],
+                 [falls, always_zero("y")], [always_zero("y"), falls]):
+        p = assert_product_matches_gaps(auts)
+        spec = universal_automaton(p.vars)
+        with pytest.raises(RuntimeError, match="incomplete"):
+            contains(p, spec)
+        for h in (0, 2):
+            with pytest.raises(RuntimeError, match="incomplete"):
+                has_trace_of_length(p, h)
+            with pytest.raises(RuntimeError, match="incomplete"):
+                find_trace_of_length(p, h)
+
+
+def assert_product_matches_gaps(auts):
+    """The product of ``auts`` has the eager build's edges, each state's
+    edge row holds the members' joint steps (None where some member has
+    none), and its incomplete states are reported on their first such
+    letter."""
+    p = assert_edges_match_eager_build(product(auts), auts)
+    letters = enumerate_valuations(p.vars)
+    rows = p._edge_rows()
+    want = []
+    for s in p.states:
+        row = [joint_step(auts, s, v) for v in letters]
+        assert rows[s] == tuple(row)
+        if None in row:
+            hit = letters[row.index(None)]
+            want.append(f"state {s!r}: no edge enabled on {hit.to_text()}")
+    assert want
+    assert [d.message for d in check_wellformed(p)
+            if d.kind == "incomplete-state"] == want
+    return p
 
 
 def test_gap_at_bad_tuples_only_refuses_every_search():
