@@ -5,30 +5,25 @@ states; the accepted language (all finite traces whose run never enters a
 bad state) is therefore prefix-closed, the canonical shape of a safety
 property.  All operations are pure: automata are immutable after
 construction and safe to share across threads (the only internal
-mutations fill caches: edge masks and rows, per-scope letter classes
-and transition tables, and guarded edges built on first read; each fill
-is idempotent).
+mutations fill caches: edge rows, per-scope letter classes and
+transition tables, and guarded edges built on first read; each fill is
+idempotent).
 
 Guards are kept as given and printed canonicalized.  They meet letters
-once per automaton, through `guards.guard_mask`: one mask per edge over
-its own variables, which wellformedness reads.  An automaton whose
-masks come from elsewhere (`SafetyAutomaton.from_masks`, as the parser
-and the observed fault models build theirs) builds no guard until its
-``edges`` are read, and nothing but printing reads them.  One place
-decides the edge each state takes on each letter: its letter classes,
-one disjoint mask per edge taken, the first enabled edge winning (the
-minterms of symbolic automata), lifted to a wider scope once per
-scope.  The edge
-rows, the target taken on each letter of the automaton's own
-variables, are read off those classes; `step` and every transition
-table read the rows, and a table over a wider scope reads each
-letter's entry at its restriction.  A product never builds guards to
-explore: its letter classes, and so its rows, are its members' classes
-AND-ed member by member, and it finds each tuple's successors the same
-way (`_branches`), keeping only their target tuples; which member edges
-led to a successor is read off the members' classes again only when
-its guards are printed.  Every search is one layered walk over
-successor rows, of states or of pairs of states (`_layers`), and every
+once, at construction, which fixes each edge's mask over the
+automaton's own variables (`guards.guard_mask`; `from_masks`, as the
+parser and the observed fault models build theirs, takes the masks as
+given and builds no guard until ``edges`` is read, which only printing
+does).  Everything per letter is derived from the masks.  The letter
+classes, one disjoint mask per edge taken, the first enabled edge
+winning (the minterms of symbolic automata), decide the edge each
+state takes on each letter, over any scope; the edge rows, the target
+taken on each letter of the automaton's own variables, are read off
+them, and `step` and every transition table read the rows.  A
+product's masks are its branches, the members' classes AND-ed member
+by member (`_branches`), of which exploring keeps only the target
+tuples; its guards are read off the members' classes only when
+printed.  Every search is one layered walk over successor rows, of states or of pairs of states (`_layers`), and every
 witness is spelled back through its layers (`_spell`).  No search
 builds a product: `contains` and the horizon questions also take a
 sequence of automata and walk their product on the fly, and each takes
@@ -51,9 +46,8 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
                              Sequence)
-from itertools import chain, islice, takewhile
+from itertools import chain, compress, islice, takewhile
 from operator import getitem
-from struct import unpack
 
 from .errors import DomainMismatch
 from .guards import (And, Guard, TRUE, canonicalize, guard_mask, guard_text,
@@ -271,15 +265,15 @@ class SafetyAutomaton:
     `check_wellformed`, which reports diagnostics instead of raising so
     that counterexamples can name the offending state and rule.
 
-    The edge masks over the automaton's own variables, and the edge rows
-    read off their letter classes (the target taken on each letter, None
-    where no edge is enabled), are computed once and cached; so are, per
-    scope, the letter classes and the transition table.  A caller that
-    already has the masks (the parser, which scans each guard over its
-    owner's variables) builds the automaton with `from_masks`, from the
-    masks and targets of its edges; its guards are then built when
-    ``edges`` is first read, and no walk, table or wellformedness check
-    waits for them.
+    Each edge's mask over the automaton's own variables is fixed at
+    construction, and everything per letter is derived from the masks:
+    the edge rows read off their letter classes (the target taken on
+    each letter, None where no edge is enabled) are cached, and so are,
+    per scope, the letter classes and the transition table.  A caller
+    that already has the masks (the parser, which scans each guard over
+    its owner's variables) builds the automaton with `from_masks`; its
+    guards are then built when ``edges`` is first read, and nothing but
+    printing waits for them.
     """
 
     __slots__ = ("vars", "states", "initial", "bad", "_targets", "_edges",
@@ -288,20 +282,21 @@ class SafetyAutomaton:
     def __init__(self, vars: Iterable[str], states: Iterable[State],
                  initial: State, bad: Iterable[State],
                  edges: Mapping[State, Iterable[tuple[Guard, State]]]):
+        vars = tuple(sorted(set(vars)))
         normalized = {q: tuple((g, t) for g, t in e) for q, e in edges.items()}
-        self._init(vars, states, initial, bad,
-                   {q: tuple(t for _, t in e) for q, e in normalized.items()},
-                   None)
-        self._edges = {q: normalized.get(q, ()) for q in self.states}
-        self._guards = None
-        scope = self.var_set
-        for q, e in self._edges.items():
+        for q, e in normalized.items():
             for g, _ in e:
-                extra = guard_vars(g) - scope
+                extra = guard_vars(g).difference(vars)
                 if extra:
                     raise ValueError(
                         f"guard on edge from {q!r} mentions undeclared "
                         f"variable {sorted(extra)[0]!r}")
+        self._init(vars, states, initial, bad,
+                   {q: tuple(t for _, t in e) for q, e in normalized.items()},
+                   {q: tuple(guard_mask(g, vars) for g, _ in e)
+                    for q, e in normalized.items()})
+        self._edges = {q: normalized.get(q, ()) for q in self.states}
+        self._guards = None
 
     @classmethod
     def from_masks(cls, vars: Iterable[str], states: Iterable[State],
@@ -315,9 +310,9 @@ class SafetyAutomaton:
         per edge: what the search, tables and `check_wellformed` read.
         A guard that has a mask over ``vars`` mentions no other variable,
         so no scope is checked.  ``guards()`` gives each state's guards
-        in the same order and is called when ``edges`` is first read; the
-        automaton keeps it, so it must not refer back to the automaton
-        (and must pickle where the automaton is pickled)."""
+        in the same order, one per edge, and is called when ``edges`` is
+        first read; the automaton keeps it, so it must not refer back to
+        the automaton (and must pickle where the automaton is pickled)."""
         a = cls.__new__(cls)
         a._init(vars, states, initial, bad, targets, masks)
         a._edges, a._guards = None, guards
@@ -326,7 +321,7 @@ class SafetyAutomaton:
     def _init(self, vars: Iterable[str], states: Iterable[State],
               initial: State, bad: Iterable[State],
               targets: Mapping[State, Sequence[State]],
-              masks: Mapping[State, Sequence[int]] | None) -> None:
+              masks: Mapping[State, Sequence[int]]) -> None:
         """Check and set everything but the guards."""
         var_tuple = tuple(sorted(set(vars)))
         for name in var_tuple:
@@ -349,6 +344,8 @@ class SafetyAutomaton:
             for t in normalized[q]:
                 if t not in state_set:
                     raise ValueError(f"edge from {q!r} targets unknown state {t!r}")
+            if len(masks.get(q, ())) != len(normalized[q]):
+                raise ValueError(f"state {q!r} needs one mask per edge target")
         unknown = set(targets) - state_set
         if unknown:
             raise ValueError(f"edges declared for unknown state {sorted(map(repr, unknown))[0]}")
@@ -357,9 +354,7 @@ class SafetyAutomaton:
         self.initial = initial
         self.bad = bad_set
         self._targets = normalized
-        self._masks: dict[State, tuple[int, ...]] | None = (
-            None if masks is None
-            else {q: tuple(masks[q]) for q in state_tuple})
+        self._masks = {q: tuple(masks.get(q, ())) for q in state_tuple}
         self._classes: dict[tuple[str, ...], dict] = {}  # see `_edge_classes`
         self._rows: dict[State, tuple] | None = None  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
@@ -373,7 +368,11 @@ class SafetyAutomaton:
     def _guarded_edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
         """The edges of an automaton built `from_masks`, on first read."""
         guards = self._guards()
-        return {q: tuple(zip(guards[q], ts)) for q, ts in self._targets.items()}
+        for q, ts in self._targets.items():
+            if len(guards.get(q, ())) != len(ts):
+                raise ValueError(f"state {q!r} needs one guard per edge target")
+        return {q: tuple(zip(guards.get(q, ()), ts))
+                for q, ts in self._targets.items()}
 
     @property
     def var_set(self) -> frozenset[str]:
@@ -407,32 +406,28 @@ class SafetyAutomaton:
         """Per state, the target taken on each letter of ``vars`` (None
         where no edge is enabled), peeled off the letter classes over
         ``vars`` in time linear in the number of letters: each class's
-        mask one 64-bit word at a time (peeling the whole mask would copy
-        a 2^n-bit integer per letter).  Cached."""
+        mask is spelled in binary once, its zero digits made zero bytes,
+        and the letters of its one digits picked out (`compress`).
+        Cached."""
         if self._rows is None:
             nletters = 1 << len(self.vars)
+            # The letters of a mask's binary digits, most significant first.
+            letters = range(nletters - 1, -1, -1)
+            zero = bytes.maketrans(b"0", b"\0")
             rows = {}
             for q, classes in self._edge_classes(self.vars).items():
                 row: list[State | None] = [None] * nletters
                 for _, (t,), m in classes:
-                    words = (m,) if nletters <= 64 else unpack(
-                        f"<{nletters >> 6}Q",
-                        m.to_bytes(nletters >> 3, "little"))
-                    for base, w in zip(range(-1, nletters, 64), words):
-                        while w:
-                            low = w & -w
-                            row[base + low.bit_length()] = t
-                            w ^= low
+                    digits = format(m, f"0{nletters}b").encode()
+                    for i in compress(letters, digits.translate(zero)):
+                        row[i] = t
                 rows[q] = tuple(row)
             self._rows = rows
         return self._rows
 
     def _edge_masks(self) -> dict[State, tuple[int, ...]]:
-        """Per state, the `guard_mask` of each edge over ``vars``.  Cached."""
-        if self._masks is None:
-            self._masks = {q: tuple(guard_mask(g, self.vars)
-                                    for g, _ in self.edges[q])
-                           for q in self.states}
+        """Per state, the mask of each edge over ``vars``, fixed at
+        construction."""
         return self._masks
 
     def _edge_classes(self, scope: tuple[str, ...]) -> dict[State, tuple]:
@@ -440,15 +435,23 @@ class SafetyAutomaton:
         ``scope``, in edge order, as (edge index, target, mask of those
         letters), index and target as 1-tuples, so that a branch of
         `_branches` grows by concatenation.  The classes are pairwise
-        disjoint, the first enabled edge winning; those over ``vars`` are
+        disjoint, the first enabled edge winning: over ``vars`` each
+        edge keeps the letters of its mask that no earlier edge takes,
         the one place that decides the edge a state takes on a letter,
-        and the edge rows are read off them.  Only the classes over
-        ``vars`` read guards; a wider scope lifts each mask to it
-        (`_projection`).  Cached."""
+        and the edge rows are read off them.  A wider scope lifts each
+        of those classes to it (`_projection`).  Cached."""
         classes = self._classes.get(scope)
         if classes is None:
             if scope == self.vars:
-                classes = self._letter_classes()
+                masks, classes = self._edge_masks(), {}
+                for q, targets in self._targets.items():
+                    free, c = (1 << (1 << len(scope))) - 1, []
+                    for k, (m, t) in enumerate(zip(masks[q], targets)):
+                        m &= free
+                        if m:
+                            free ^= m
+                            c.append(((k,), (t,), m))
+                    classes[q] = tuple(c)
             else:
                 # Letter i of ``scope`` takes bit index[i] of an own mask;
                 # int() reads the lifted bits most significant first.
@@ -464,29 +467,13 @@ class SafetyAutomaton:
             self._classes[scope] = classes
         return classes
 
-    def _letter_classes(self) -> dict[State, tuple]:
-        """`_edge_classes` over ``vars`` uncached, from the edge masks: each
-        edge keeps the letters that no earlier edge takes."""
-        masks = self._edge_masks()
-        full = (1 << (1 << len(self.vars))) - 1
-        classes = {}
-        for q, targets in self._targets.items():
-            free, c = full, []
-            for k, (m, t) in enumerate(zip(masks[q], targets)):
-                m &= free
-                if m:
-                    free ^= m
-                    c.append(((k,), (t,), m))
-            classes[q] = tuple(c)
-        return classes
-
     def transition_table(self, scope: Iterable[str]) -> dict[State, tuple[State, ...]]:
         """Per-state successor rows indexed by the canonical valuation order
-        of ``scope`` (which must cover the automaton's variables), read
-        off the edge rows; a wider scope reads each letter's entry at its
-        restriction (`_projection`).  Cached per scope: every call with
-        the same scope returns the same dict, which callers must not
-        modify."""
+        of ``scope`` (which must cover the automaton's variables): the
+        edge rows themselves over ``vars``, and over a wider scope each
+        letter's entry at its restriction (`_projection`).  Cached per
+        scope: every call with the same scope returns the same dict,
+        which callers must not modify."""
         scope = tuple(sorted(scope))
         tbl = self._tables.get(scope)
         if tbl is None:
@@ -494,13 +481,15 @@ class SafetyAutomaton:
                 raise DomainMismatch(
                     f"scope {list(scope)} does not cover automaton variables "
                     f"{list(self.vars)}")
-            index = _projection(scope, self.var_set)
-            tbl = {}
-            for q, row in self._edge_rows().items():
+            tbl = self._edge_rows()
+            for q, row in tbl.items():
                 if None in row:
                     raise RuntimeError(f"no enabled edge from state {q!r} "
                                        "(automaton incomplete)")
-                tbl[q] = tuple(map(row.__getitem__, index))
+            if scope != self.vars:
+                index = _projection(scope, self.var_set)
+                tbl = {q: tuple(map(row.__getitem__, index))
+                       for q, row in tbl.items()}
             self._tables[scope] = tbl
         return tbl
 
@@ -593,40 +582,34 @@ def run(a: SafetyAutomaton, t: Trace) -> RunResult:
 class _Product(SafetyAutomaton):
     """A reachable product kept as its members and, per state, the
     target tuple of each tuple of member edges taken together on some
-    letter (lexicographic order), which are its edges' targets; its
-    letter classes, and so its edge rows and transition tables, come
-    from the members' classes.  The guarded edges are built from the
-    members on first access, each member's edge recovered from its
-    letter classes.  A search walks the members (`_space`) and builds no
-    row of the product."""
+    letter (lexicographic order), which are its edges' targets.  Its
+    edge masks are its branches (`_branches`), found again whenever they
+    are read, and everything else per letter is derived from them as for
+    any automaton.  The guarded edges are built from the members on
+    first access, each member's edge recovered from its letter classes.
+    A search walks the members (`_space`) and builds no row of the
+    product."""
 
     __slots__ = ("_members",)
+
+    def _edge_masks(self) -> dict[State, tuple[int, ...]]:
+        """Per state, the mask of each branch, in the order of its
+        targets."""
+        classes = [a._edge_classes(self.vars) for a in self._members]
+        full = (1 << (1 << len(self.vars))) - 1
+        return {s: tuple([m for _, m in _branches(classes, s, full)])
+                for s in self.states}
 
     def _guarded_edges(self) -> dict[State, tuple[tuple[Guard, State], ...]]:
         """Each edge conjoins, member by member, the guard of the member
         edge whose letter class holds the least letter of the edge's."""
         classes = [a._edge_classes(self.vars) for a in self._members]
         member_edges = [a.edges for a in self._members]
-        full = (1 << (1 << len(self.vars))) - 1
-        edges = {}
-        for s in self.states:
-            out = []
-            for ts, m in _branches(classes, s, full):
-                low = m & -m
-                out.append((And(tuple(
-                    e[q][next(k for (k,), _, c in cs[q] if c & low)][0]
-                    for e, cs, q in zip(member_edges, classes, s))), ts))
-            edges[s] = tuple(out)
-        return edges
-
-    def _letter_classes(self) -> dict[State, tuple]:
-        """Letter classes from the members' classes: the letters of an
-        edge are those its tuple of member edges takes together."""
-        classes = [a._edge_classes(self.vars) for a in self._members]
-        full = (1 << (1 << len(self.vars))) - 1
-        return {s: tuple(((k,), (ts,), m) for k, (ts, m)
-                         in enumerate(_branches(classes, s, full)))
-                for s in self.states}
+        return {s: tuple((And(tuple(
+                    e[q][next(k for (k,), _, c in cs[q] if c & m & -m)][0]
+                    for e, cs, q in zip(member_edges, classes, s))), ts)
+                    for ts, m in zip(self._targets[s], masks))
+                for s, masks in self._edge_masks().items()}
 
 
 def _union(automata: Iterable[SafetyAutomaton], names: Iterable[str] = ()
@@ -669,12 +652,11 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     its edges' targets: one target tuple per tuple of member edges taken
     together on some letter, in lexicographic order of those tuples,
     found by its members' letter classes (`_branches`), so two edges may
-    share a target.  The letter classes, edge rows and transition table
-    are built from the members' classes only on request, and the edges,
-    guarded by the plain conjunction of the member guards, only when
-    ``edges`` is read.  Each member follows its first enabled edge; on a
-    letter where some member has none, the product state has none
-    either.  Since every guard mentions only its own automaton's
+    share a target.  Its edge masks are those branches' masks, found
+    again only on request, and its edges, guarded by the plain
+    conjunction of the member guards, only when ``edges`` is read.  Each
+    member follows its first enabled edge; on a letter where some member
+    has none, the product state has none either.  Since every guard mentions only its own automaton's
     variables, this realizes intersection of the inverse-projected
     (cylindrified) languages with no extra construction.
     """
@@ -702,8 +684,7 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     p.bad = frozenset(s for s in targets
                       if any(map(frozenset.__contains__, bads, s)))
     p._members, p._targets, p._edges, p._guards = automata, targets, None, None
-    p._masks, p._rows = None, None
-    p._classes, p._tables = {}, {}
+    p._rows, p._classes, p._tables = None, {}, {}
     return p
 
 

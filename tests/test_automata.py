@@ -437,7 +437,7 @@ def test_searches_of_a_product_answer_as_its_members():
     any incomplete member refuses it, whether or not the product reaches
     the gap.  The product's own table still refuses exactly where some
     product state, good or bad, has no edge on some letter
-    (`check_wellformed`, which reads the guarded edges)."""
+    (`check_wellformed`, which reads the product's branch masks)."""
     rng = random.Random(48)
     scopes = [["u"], ["v"], ["u", "v"], ["v", "w"]]
     refused = unreached = answered = 0
@@ -465,6 +465,42 @@ def test_searches_of_a_product_answer_as_its_members():
             assert not any(isinstance(g, tuple) for g in got)
             answered += 1
     assert refused > unreached > 0 and answered
+
+
+def test_wellformedness_of_a_product_reads_its_branch_masks(monkeypatch):
+    """On the members of `test_searches_of_a_product_answer_as_its_members`,
+    incomplete ones among them, `check_wellformed` of a built product
+    evaluates no guard, and builds one only to print the edge that
+    leaves a bad state; it reports as the automaton built from the
+    product's guarded edges."""
+    rng = random.Random(48)
+    scopes = [["u"], ["v"], ["u", "v"], ["v", "w"]]
+    kinds = set()
+    silent = 0
+    for _ in range(150):
+        members = [random_raw_automaton(rng, rng.choice(scopes), 0.1)
+                   for _ in range(rng.randint(1, 3))]
+        p = product(members)
+        evaluated, built = [], []
+
+        def counting(self, operands, init=And.__init__):
+            built.append(operands)
+            init(self, operands)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(tracecause.automata, "guard_mask",
+                            lambda g, names: evaluated.append(g)
+                            or guard_mask(g, names))
+            patched.setattr(And, "__init__", counting)
+            diags = check_wellformed(p)
+        assert evaluated == []
+        printed = any(d.kind == "non-absorbing-bad" for d in diags)
+        assert bool(built) == printed == (p._edges is not None)
+        silent += not built
+        kinds.update(d.kind for d in diags)
+        eager = SafetyAutomaton(p.vars, p.states, p.initial, p.bad, p.edges)
+        assert diags == check_wellformed(eager)
+    assert silent and {"incomplete-state", "non-absorbing-bad"} <= kinds
 
 
 def joint_step(auts, s, v):
@@ -632,7 +668,43 @@ def test_transition_table_is_built_once_per_scope(monkeypatch):
     assert a.transition_table(["x"]) is not first
 
 
+def test_transition_table_over_own_variables_is_the_edge_rows():
+    a = always_zero("x")
+    assert a.transition_table(["x"]) is a._edge_rows()
+    assert a.transition_table(["x"]) is a.transition_table(["x"])
+    gap = SafetyAutomaton(["x"], ["s"], "s", [], {"s": [(Var("x"), "s")]})
+    with pytest.raises(RuntimeError, match="no enabled edge from state 's'"):
+        gap.transition_table(["x"])
+
+
 _ALWAYS_ZERO_X_GUARDS = {"g": (Not(Var("x")), Var("x")), "b": (TRUE,)}
+
+
+def test_masks_and_guards_come_one_per_edge_target():
+    # A state given more or fewer masks than targets, or none, is
+    # refused by name at construction; guards that do not match the
+    # targets are refused when the edges are read.
+    targets = {"g": ("g", "b"), "b": ("b",)}
+
+    def build(masks, guards=_ALWAYS_ZERO_X_GUARDS.copy):
+        return SafetyAutomaton.from_masks(["x"], ["g", "b"], "g", ["b"],
+                                          targets, masks, guards)
+
+    for masks, q in (({"g": (0b01,), "b": (0b11,)}, "g"),
+                     ({"g": (0b01, 0b10, 0b11), "b": (0b11,)}, "g"),
+                     ({"g": (0b01, 0b10)}, "b")):
+        with pytest.raises(ValueError,
+                           match=f"state '{q}' needs one mask per edge target"):
+            build(masks)
+    masks = {"g": (0b01, 0b10), "b": (0b11,)}
+    assert build(masks) == always_zero("x")
+    for guards in ({"g": (Not(Var("x")),), "b": (TRUE,)},
+                   {"g": _ALWAYS_ZERO_X_GUARDS["g"]}):
+        a = build(masks, guards.copy)
+        assert a.edge_count == 3 and check_wellformed(a) == []
+        with pytest.raises(ValueError,
+                           match="needs one guard per edge target"):
+            a.edges
 
 
 class _CountingEdges(dict):
@@ -1165,6 +1237,31 @@ def test_edge_rows_match_per_letter_reference():
         for scope in (a.vars, tuple(names)):
             assert class_rows(a, scope) == reference_edge_rows(a, scope)
     assert overlapping and incomplete
+
+
+def test_construction_fixes_each_edge_mask_from_its_guard(monkeypatch):
+    rng = random.Random(23)
+    auts = []
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        names = [f"v{i}" for i in range(n)]
+        auts.append(random_guarded_automaton(
+            rng, rng.sample(names, rng.randint(1, n))))
+    calls = []
+
+    def counting(g, names):
+        calls.append(g)
+        return guard_mask(g, names)
+
+    monkeypatch.setattr(tracecause.automata, "guard_mask", counting)
+    for a in auts:
+        check_wellformed(a)
+        outcome(a.transition_table, a.vars + ("w",))
+    assert calls == []
+    for a in auts:
+        assert a._edge_masks() == {q: tuple(guard_mask(g, a.vars)
+                                            for g, _ in a.edges[q])
+                                   for q in a.states}
 
 
 def test_wider_scopes_evaluate_no_guard(monkeypatch):

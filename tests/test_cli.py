@@ -684,10 +684,11 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch,
 # ---------------------------------------------------------------------------
 # start-up
 
-# Modules that only `dataclasses` pulled in, and `typing`, which only
-# annotations named; start-up needs none of them.
+# Modules that only `dataclasses` pulled in, `typing`, which only
+# annotations named, and `struct`, which no part of the package reads;
+# start-up needs none of them.
 UNNEEDED_AT_STARTUP = {"dataclasses", "inspect", "dis", "ast", "tokenize",
-                       "copy", "typing"}
+                       "copy", "typing", "struct"}
 
 STARTUP_PROBE = """\
 import sys
