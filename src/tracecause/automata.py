@@ -5,7 +5,7 @@ states; the accepted language (all finite traces whose run never enters a
 bad state) is therefore prefix-closed, the canonical shape of a safety
 property.  All operations are pure: automata are immutable after
 construction and safe to share across threads (the only internal
-mutations fill caches: edge rows, per-scope letter classes and
+mutations fill caches: per-scope letter classes, edge rows and
 transition tables, and guarded edges built on first read; each fill is
 idempotent).
 
@@ -17,20 +17,17 @@ given and builds no guard until ``edges`` is read, which only printing
 does).  Everything per letter is derived from the masks.  The letter
 classes, one disjoint mask per edge taken, the first enabled edge
 winning (the minterms of symbolic automata), decide the edge each
-state takes on each letter, over any scope; the edge rows, the target
-taken on each letter of the automaton's own variables, are read off
-them, and `step` and every transition table read the rows.  A
-product's masks are its branches, the members' classes AND-ed member
-by member (`_branches`), of which exploring keeps only the target
-tuples; its guards are read off the members' classes only when
-printed.  Every search is one layered walk over successor rows, of states or of pairs of states (`_layers`), and every
-witness is spelled back through its layers (`_spell`).  No search
-builds a product: `contains` and the horizon questions also take a
-sequence of automata and walk their product on the fly, and each takes
-its start state, successor rows and bad states from one place
-(`_space`), which walks tuples of member states off the members'
-tables (`_Tuples`): an automaton is a sequence of one, a built product
-its members.  So any incomplete member refuses a search, as its table
+state takes on each letter, over any scope; the edge rows over a
+scope, the target taken on each of its letters, are read off them, and
+`step` and every transition table read the rows.  A product's masks are
+its branches, the members' classes AND-ed member by member
+(`_branches`), of which exploring keeps only the target tuples; its
+guards are read off the members' classes only when printed.  No search
+builds a product: every search walks tuples of member states one layer
+at a time through one step (`_Space`), an automaton as a sequence of
+one, a built product as its members, and the spec of `contains` as one
+more coordinate; every witness is spelled back through its layers
+(`_spell`).  So any incomplete member refuses a search, as its table
 does.  A scope of n variables has 2^n letters.
 
 Valuation enumeration order is fixed everywhere: variables sorted by
@@ -46,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import (Callable, Hashable, Iterable, Iterator, Mapping,
                              Sequence)
-from itertools import chain, compress, islice, takewhile
+from itertools import chain, compress, filterfalse, islice, takewhile
 from operator import getitem
 
 from .errors import DomainMismatch
@@ -267,9 +264,9 @@ class SafetyAutomaton:
 
     Each edge's mask over the automaton's own variables is fixed at
     construction, and everything per letter is derived from the masks:
-    the edge rows read off their letter classes (the target taken on
-    each letter, None where no edge is enabled) are cached, and so are,
-    per scope, the letter classes and the transition table.  A caller
+    per scope, the letter classes, the edge rows read off them (the
+    target taken on each letter, None where no edge is enabled) and the
+    transition table are cached.  A caller
     that already has the masks (the parser, which scans each guard over
     its owner's variables) builds the automaton with `from_masks`; its
     guards are then built when ``edges`` is first read, and nothing but
@@ -356,7 +353,7 @@ class SafetyAutomaton:
         self._targets = normalized
         self._masks = {q: tuple(masks.get(q, ())) for q in state_tuple}
         self._classes: dict[tuple[str, ...], dict] = {}  # see `_edge_classes`
-        self._rows: dict[State, tuple] | None = None  # see `_edge_rows`
+        self._rows: dict[tuple[str, ...], dict] = {}  # see `_edge_rows`
         self._tables: dict[tuple[str, ...], dict] = {}
 
     @property
@@ -402,28 +399,32 @@ class SafetyAutomaton:
                 f"no enabled edge from state {q!r} (automaton incomplete)")
         return t
 
-    def _edge_rows(self) -> dict[State, tuple[State | None, ...]]:
-        """Per state, the target taken on each letter of ``vars`` (None
-        where no edge is enabled), peeled off the letter classes over
-        ``vars`` in time linear in the number of letters: each class's
-        mask is spelled in binary once, its zero digits made zero bytes,
-        and the letters of its one digits picked out (`compress`).
-        Cached."""
-        if self._rows is None:
-            nletters = 1 << len(self.vars)
+    def _edge_rows(self, scope: tuple[str, ...] | None = None
+                   ) -> dict[State, tuple[State | None, ...]]:
+        """Per state, the target taken on each letter of the sorted
+        ``scope``, ``vars`` by default (None where no edge is enabled),
+        peeled off the letter classes over ``scope`` in time linear in
+        the number of letters: each class's mask is spelled in binary
+        once, its zero digits made zero bytes, and the letters of its one
+        digits picked out (`compress`).  Cached per scope."""
+        if scope is None:
+            scope = self.vars
+        rows = self._rows.get(scope)
+        if rows is None:
+            nletters = 1 << len(scope)
             # The letters of a mask's binary digits, most significant first.
             letters = range(nletters - 1, -1, -1)
             zero = bytes.maketrans(b"0", b"\0")
             rows = {}
-            for q, classes in self._edge_classes(self.vars).items():
+            for q, classes in self._edge_classes(scope).items():
                 row: list[State | None] = [None] * nletters
                 for _, (t,), m in classes:
                     digits = format(m, f"0{nletters}b").encode()
                     for i in compress(letters, digits.translate(zero)):
                         row[i] = t
                 rows[q] = tuple(row)
-            self._rows = rows
-        return self._rows
+            self._rows[scope] = rows
+        return rows
 
     def _edge_masks(self) -> dict[State, tuple[int, ...]]:
         """Per state, the mask of each edge over ``vars``, fixed at
@@ -470,10 +471,9 @@ class SafetyAutomaton:
     def transition_table(self, scope: Iterable[str]) -> dict[State, tuple[State, ...]]:
         """Per-state successor rows indexed by the canonical valuation order
         of ``scope`` (which must cover the automaton's variables): the
-        edge rows themselves over ``vars``, and over a wider scope each
-        letter's entry at its restriction (`_projection`).  Cached per
-        scope: every call with the same scope returns the same dict,
-        which callers must not modify."""
+        edge rows over ``scope``, checked to leave no letter without a
+        target.  Cached per scope: every call with the same scope returns
+        the same dict, which callers must not modify."""
         scope = tuple(sorted(scope))
         tbl = self._tables.get(scope)
         if tbl is None:
@@ -481,15 +481,11 @@ class SafetyAutomaton:
                 raise DomainMismatch(
                     f"scope {list(scope)} does not cover automaton variables "
                     f"{list(self.vars)}")
-            tbl = self._edge_rows()
+            tbl = self._edge_rows(scope)
             for q, row in tbl.items():
                 if None in row:
                     raise RuntimeError(f"no enabled edge from state {q!r} "
                                        "(automaton incomplete)")
-            if scope != self.vars:
-                index = _projection(scope, self.var_set)
-                tbl = {q: tuple(map(row.__getitem__, index))
-                       for q, row in tbl.items()}
             self._tables[scope] = tbl
         return tbl
 
@@ -587,8 +583,8 @@ class _Product(SafetyAutomaton):
     are read, and everything else per letter is derived from them as for
     any automaton.  The guarded edges are built from the members on
     first access, each member's edge recovered from its letter classes.
-    A search walks the members (`_space`) and builds no row of the
-    product."""
+    A search walks it as its members (`_Space`), reading neither a row
+    nor the bad set of the product."""
 
     __slots__ = ("_members",)
 
@@ -612,14 +608,17 @@ class _Product(SafetyAutomaton):
                 for s, masks in self._edge_masks().items()}
 
 
-def _union(automata: Iterable[SafetyAutomaton], names: Iterable[str] = ()
+def _union(automata: Iterable[SafetyAutomaton],
+           last: SafetyAutomaton | None = None
            ) -> tuple[tuple[SafetyAutomaton, ...], tuple[str, ...]]:
-    """The members of a product, as a tuple, and the sorted union of their
-    variables and ``names``: the scope of the product's letters."""
+    """The members of a product, as a tuple, then ``last`` if given, and
+    the sorted union of their variables: the scope of their letters."""
     members = tuple(automata)
     if not members:
         raise ValueError("product of zero automata is undefined")
-    return members, tuple(sorted(set(names).union(*(m.vars for m in members))))
+    if last is not None:
+        members += (last,)
+    return members, tuple(sorted(set().union(*(m.vars for m in members))))
 
 
 def _branches(classes: Sequence[Mapping], s: tuple, full: int
@@ -684,23 +683,62 @@ def product(automata: Sequence[SafetyAutomaton]) -> SafetyAutomaton:
     p.bad = frozenset(s for s in targets
                       if any(map(frozenset.__contains__, bads, s)))
     p._members, p._targets, p._edges, p._guards = automata, targets, None, None
-    p._rows, p._classes, p._tables = None, {}, {}
+    p._rows, p._classes, p._tables = {}, {}, {}
     return p
 
 
-def _layers(start: State, rows: Mapping, bad) -> Iterator[dict[State, None]]:
-    """The states reached from ``start`` by exactly k steps, for k = 0, 1,
-    ...: each layer a dict in discovery order, the entries of ``rows[q]``
-    for each state q of the layer before, in order.  A layer loses the
-    states that ``bad.intersection(layer)`` gives, as a new collection,
-    before it is yielded.
-    An empty layer stays empty; callers decide when to stop."""
-    layer = {start: None}
+class _Space:
+    """What every search walks: tuples of the states of the automata
+    ``a``, with the state of ``last``, if given, as one more coordinate.
+
+    A sequence of automata stands for their `product`, which is not
+    built: a tuple's successor on each letter of ``scope``, the sorted
+    union of the variables, is read off the members' transition tables,
+    and the tuple is bad when a coordinate of ``a`` is (``last``'s is
+    not read).  The reachable tuples are then the product's states in
+    the same order, so every answer and witness equals that of the
+    search of ``product(a)``.  One automaton is a sequence of one; a
+    built product is its members, neither its rows nor its bad set read.
+    So an incomplete member raises, as its table does, at every length,
+    even where the walk would never reach its gap."""
+
+    __slots__ = ("start", "scope", "_tables", "_bads")
+
+    def __init__(self, a: SafetyAutomaton | Sequence[SafetyAutomaton],
+                 last: SafetyAutomaton | None = None):
+        if isinstance(a, _Product):
+            a = a._members
+        elif isinstance(a, SafetyAutomaton):
+            a = (a,)
+        members, self.scope = _union(a, last)
+        self.start = tuple(m.initial for m in members)
+        self._tables = [m.transition_table(self.scope) for m in members]
+        self._bads = [m.bad for m in
+                      (members if last is None else members[:-1])]
+
+    def bad(self, q: tuple) -> bool:
+        # `map` stops at the shorter input, short of ``last``'s coordinate.
+        return any(map(frozenset.__contains__, self._bads, q))
+
+    def row(self, q: tuple) -> Iterator[tuple]:
+        """The successors of ``q``, one per letter of ``scope``."""
+        return zip(*map(getitem, self._tables, q))
+
+    def successors(self, layer: Iterable[tuple]) -> dict[tuple, None]:
+        """One step: the rows of the tuples of ``layer``, each tuple once."""
+        return dict.fromkeys(chain.from_iterable(map(self.row, layer)))
+
+
+def _layers(space: _Space) -> Iterator[dict[tuple, None]]:
+    """The good tuples of ``space`` reached from its start by exactly k
+    steps through good ones, for k = 0, 1, ...: each layer a dict in
+    discovery order, the successors of the layer before.  An empty layer
+    stays empty; callers decide when to stop."""
+    layer = {space.start: None}
     while True:
-        for q in bad.intersection(layer):
-            del layer[q]
+        layer = dict.fromkeys(filterfalse(space.bad, layer))
         yield layer
-        layer = dict.fromkeys(chain.from_iterable(map(rows.__getitem__, layer)))
+        layer = space.successors(layer)
 
 
 def _nonempty_at(layers: Iterator[dict], h: int) -> bool:
@@ -718,99 +756,48 @@ def _nonempty_at(layers: Iterator[dict], h: int) -> bool:
         seen.add(key)
 
 
-def _spell(layers: list, row, scope: tuple[str, ...]) -> Trace:
-    """The trace over ``scope`` that leads from layer 0 of ``layers`` to
-    the first state of the last one.  Walking back, a state's predecessor
-    is the first state of the layer before whose ``row`` reaches it, on
-    the first letter that does: the state and letter that discovered it."""
+def _spell(layers: list, space: _Space) -> Trace:
+    """The trace over the scope of ``space`` that leads from layer 0 of
+    ``layers`` to the first tuple of the last one.  Walking back, a
+    tuple's predecessor is the first tuple of the layer before whose row
+    reaches it, on the first letter that does: the tuple and letter that
+    discovered it."""
     cur = next(iter(layers[-1]))
     letters = []
     for layer in reversed(layers[:-1]):
         for q in layer:
-            r = row(q)
+            r = list(space.row(q))
             if cur in r:
-                letters.append(_letter(scope, r.index(cur)))
+                letters.append(_letter(space.scope, r.index(cur)))
                 cur = q
                 break
     return Trace(reversed(letters))
 
 
-class _Tuples:
-    """The tuples of the members' states, as `_space` walks them: ``t[q]``
-    pairs up the successors of tuple ``q`` on each letter of ``scope``
-    (the row the product's table would hold), and ``q in t`` tells
-    whether a coordinate of ``q`` is bad (whether the product's state
-    is), so one object serves as both the rows and the bad set."""
-
-    __slots__ = ("_tables", "_bads")
-
-    def __init__(self, members: Sequence[SafetyAutomaton],
-                 scope: tuple[str, ...]):
-        self._tables = [m.transition_table(scope) for m in members]
-        self._bads = [m.bad for m in members]
-
-    def __getitem__(self, q: tuple) -> Iterator[tuple]:
-        return zip(*map(getitem, self._tables, q))
-
-    def __contains__(self, q: tuple) -> bool:
-        return any(map(frozenset.__contains__, self._bads, q))
-
-    def intersection(self, states: Iterable[tuple]) -> list[tuple]:
-        return [q for q in states if q in self]
-
-
-def _space(a: SafetyAutomaton | Sequence[SafetyAutomaton],
-           scope: Iterable[str] = ()):
-    """The start state, successor rows, bad states and sorted scope of a
-    search of ``a`` over the letters of its variables and ``scope``.
-
-    A nonempty sequence of automata stands for their `product`, which
-    is not built: a state is a tuple of member states, its row is zipped
-    from the members' transition tables (`_Tuples`), and it is bad when
-    a coordinate is.  Its reachable tuples are then the product's states
-    in the same order, so every answer and witness equals that of the
-    search of ``product(a)``.  One automaton is a sequence of one; a
-    built product is its members, with its own bad set, and builds no
-    row.  So an incomplete member raises, as its table does, at every
-    length, even where the walk would never reach its gap."""
-    if isinstance(a, _Product):
-        start, rows, _, scope = _space(a._members, scope)
-        return start, rows, a.bad, scope
-    members, scope = _union((a,) if isinstance(a, SafetyAutomaton) else a,
-                            scope)
-    tuples = _Tuples(members, scope)
-    return tuple(m.initial for m in members), tuples, tuples, scope
-
-
 def contains(a: SafetyAutomaton | Sequence[SafetyAutomaton],
              b: SafetyAutomaton) -> ContainmentResult:
     """Decide L(a) <= L(b) over the union scope by synchronized BFS; ``a``
-    may be a sequence of automata standing for their product (`_space`).
+    may be a sequence of automata standing for their product.
 
-    Walks pairs one layer at a time, each pair visited once, to a
-    shortest reachable pair good in ``a`` and bad in ``b``.  Pairs bad in
-    ``a`` are counted but not expanded: bad states are absorbing, so no
-    witness extends them.  The witness is spelled back through the
-    expanded layers (`_spell`).
+    Walks the tuples of ``a`` with ``b``'s state last (`_Space`) one
+    layer at a time, each tuple visited once, to a shortest reachable
+    tuple good in ``a`` and bad in ``b``.  Tuples bad in ``a`` are
+    counted but not expanded: bad states are absorbing, so no witness
+    extends them.  The witness is spelled back through the expanded
+    layers (`_spell`).
     """
-    start, ta, bad_a, scope = _space(a, b.vars)
-    tb, bad_b = b.transition_table(scope), b.bad
-
-    def row(p):
-        return list(zip(ta[p[0]], tb[p[1]]))
-
-    seen = {(start, b.initial)}
-    layer = list(seen)  # the pairs first reached in len(expanded) steps
-    expanded: list[list] = []  # the pairs expanded at each smaller depth
+    space, bad_b = _Space(a, b), b.bad
+    seen = {space.start}
+    layer = list(seen)  # the tuples first reached in len(expanded) steps
+    expanded: list[list] = []  # the tuples expanded at each smaller depth
     while layer:
-        for k, (qa, qb) in enumerate(layer):
-            if qa not in bad_a and qb in bad_b:
+        for k, q in enumerate(layer):
+            if q[-1] in bad_b and not space.bad(q):
                 return ContainmentResult(
-                    False, _spell(expanded + [[(qa, qb)]], row, scope),
+                    False, _spell(expanded + [[q]], space),
                     len(seen) - len(layer) + k + 1, len(expanded))
-        expanded.append([p for p in layer if p[0] not in bad_a])
-        reached = dict.fromkeys(chain.from_iterable(map(row, expanded[-1])))
-        layer = [p for p in reached if p not in seen]
+        expanded.append(list(filterfalse(space.bad, layer)))
+        layer = [q for q in space.successors(expanded[-1]) if q not in seen]
         seen.update(layer)
     return ContainmentResult(True, None, len(seen), len(expanded) - 1)
 
@@ -819,10 +806,9 @@ def has_trace_of_length(a: SafetyAutomaton | Sequence[SafetyAutomaton],
                         h: int) -> bool:
     """True iff some trace of length exactly ``h`` is accepted, decided by
     h-step forward reachability through good states.  For a sequence of
-    automata (`_space`), whether some trace of length ``h`` is accepted
+    automata (`_Space`), whether some trace of length ``h`` is accepted
     by all of them."""
-    start, rows, bad, _ = _space(a)
-    return _nonempty_at(_layers(start, rows, bad), h)
+    return _nonempty_at(_layers(_Space(a)), h)
 
 
 def find_trace_of_length(a: SafetyAutomaton | Sequence[SafetyAutomaton],
@@ -838,11 +824,11 @@ def find_trace_of_length(a: SafetyAutomaton | Sequence[SafetyAutomaton],
     """
     if h < 0:
         raise ValueError("length must be nonnegative")
-    start, rows, bad, scope = _space(a)
-    layers = list(islice(takewhile(bool, _layers(start, rows, bad)), h + 1))
+    space = _Space(a)
+    layers = list(islice(takewhile(bool, _layers(space)), h + 1))
     if len(layers) <= h:
         return None
-    return _spell(layers, lambda q: tuple(rows[q]), scope)
+    return _spell(layers, space)
 
 
 def has_joint_trace_of_length(a: SafetyAutomaton, b: SafetyAutomaton,

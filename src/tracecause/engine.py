@@ -20,10 +20,10 @@ manifestation is bounded at the error-trace length, where "observed
 behavior" is meaningful.  A universal verdict additionally requires the
 combined language to be realizable at that length; an unrealizable
 operand yields holds=False with vacuous=True rather than a vacuous truth.
-A containment question still builds its operand, the product of the
-factors, for its `stats` sizes and bad set, but walks it through the
-factors' transition tables; a universal one builds none: its walks to
-the horizon read those tables too (`_decide`).
+Every question walks the factors' transition tables (`_decide`).  A
+containment question still builds its operand, the product of the
+factors, but only for its two `stats` sizes; a universal one builds
+none.
 
 Everything here is a pure function of immutable inputs; candidate sets
 could be evaluated concurrently, but results are reduced in the fixed
@@ -351,16 +351,16 @@ def _decide(ctx: _Context, kinds: tuple[FaultModelKind, ...],
     ``contained``, whether its language lies inside the global spec's
     (``holds``, as mitigation reads it), else universal manifestation at
     the error-trace length.  Returns the verdict and the sizes of its
-    `SetMetrics` row.  Only a containment question builds the operand
-    product, whose state and edge counts the row reports and whose bad
-    set its walks read; they read successors off the factors' tables
-    (`automata._space`).  Where every factor is its component's spec,
-    the operand is the specs' composition and its containment answer
-    is the refinement obligation's (`model.refinement`), which
-    validation has walked.  A universal one walks the factors' tables to
-    the horizon (`find_trace_of_length` of the factors, then
-    `has_trace_of_length` of the factors and the global spec) and
-    reports None for both."""
+    `SetMetrics` row.  Every walk is of the factors, never of a built
+    operand.  A containment question asks `contains` and
+    `has_trace_of_length` of them, and builds the operand product only
+    for the state and edge counts the row reports.  Where every factor
+    is its component's spec, the operand is the specs' composition and
+    its containment answer is the refinement obligation's
+    (`model.refinement`), which validation has walked.  A universal one
+    walks the factors' tables to the horizon (`find_trace_of_length` of
+    the factors, then `has_trace_of_length` of the factors and the
+    global spec) and reports None for both sizes."""
     factors = ctx.factors(kinds)
     bound = prod(a.state_count for a in factors)
     h = len(ctx.tr)
@@ -369,9 +369,9 @@ def _decide(ctx: _Context, kinds: tuple[FaultModelKind, ...],
         operand = product(factors)
         res = (refinement(ctx.m)
                if all(k is FaultModelKind.SPEC for k in kinds)
-               else contains(operand, ctx.m.global_spec))
+               else contains(factors, ctx.m.global_spec))
         verdict = Verdict(res.holds, res.witness,
-                          not has_trace_of_length(operand, h))
+                          not has_trace_of_length(factors, h))
         return verdict, (operand.state_count, operand.edge_count, bound,
                          res.pairs_explored, res.bfs_depth)
     # One walk to the horizon decides realizability and gives the witness

@@ -21,7 +21,7 @@ from tracecause.engine import _Context, manifestation_operand
 from tracecause.errors import DomainMismatch
 from tracecause.guards import (TRUE, And, Not, Or, Var, cube, disj, guard_eval,
                                guard_mask)
-from tracecause.model import project_trace
+from tracecause.model import project_trace, refinement
 
 import search_reference
 from conftest import always_zero
@@ -590,7 +590,7 @@ def test_searches_build_no_product_table():
             if h <= 6:
                 assert find_trace_of_length(p, h) == \
                     find_trace_of_length(auts, h)
-        assert p._rows is None and p._tables == {}
+        assert p._rows == {} and p._tables == {}
         table = p.transition_table(p.vars)
         letters = enumerate_valuations(p.vars)
         for s in p.states:
@@ -654,9 +654,9 @@ def test_transition_table_is_built_once_per_scope(monkeypatch):
     calls = []
     rows = SafetyAutomaton._edge_rows
 
-    def counting(self):
+    def counting(self, scope=None):
         calls.append(self)
-        return rows(self)
+        return rows(self, scope)
 
     monkeypatch.setattr(SafetyAutomaton, "_edge_rows", counting)
     a = always_zero("x")
@@ -1107,6 +1107,48 @@ def test_member_horizon_walks_equal_product_walks():
     for walk in (has_trace_of_length, find_trace_of_length):
         with pytest.raises(ValueError):
             walk([], 1)
+
+
+def test_every_search_expands_through_one_step(monkeypatch):
+    """`contains` of one automaton, of a member sequence and of a built
+    product, both horizon questions and `model.refinement` each expand
+    through the one layer step, `_Space.successors`, and answer as the
+    reference loops do on the built product."""
+    steps = []
+    successors = tracecause.automata._Space.successors
+
+    def counting(self, layer):
+        steps.append(self)
+        return successors(self, layer)
+
+    monkeypatch.setattr(tracecause.automata._Space, "successors", counting)
+    expanded = dict.fromkeys(
+        ["one", "sequence", "product", "has", "find", "refinement"], 0)
+
+    def expands(name, got, want):
+        del steps[:]
+        assert got() == want
+        expanded[name] += len(steps)
+
+    for members, spec in randsys_factor_cases(20):
+        p = product(members)
+        ref = search_reference.contains(p, spec)
+        expands("one", lambda: contains(members[0], spec),
+                search_reference.contains(members[0], spec))
+        expands("sequence", lambda: contains(members, spec), ref)
+        expands("product", lambda: contains(p, spec), ref)
+        for h in range(1, 4):
+            expands("has", lambda: has_trace_of_length(members, h),
+                    search_reference.has_trace_of_length(p, h))
+            expands("find", lambda: find_trace_of_length(members, h),
+                    search_reference.find_trace_of_length(p, h))
+    rng = random.Random(50)
+    for _ in range(20):
+        m = random_system(rng)
+        expands("refinement", lambda: refinement(m),
+                search_reference.contains(
+                    product([c.spec for c in m.components]), m.global_spec))
+    assert all(expanded.values()), expanded
 
 
 def test_incomplete_member_raises_as_in_contains():
