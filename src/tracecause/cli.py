@@ -309,32 +309,38 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # A fixed width spares add_argument's format checks the terminal-size
+    # lookup and its shutil import; help gets the default formatter back.
+    fixed = functools.partial(argparse.HelpFormatter, width=80)
     parser = argparse.ArgumentParser(
-        prog="tracecause",
+        prog="tracecause", formatter_class=fixed,
         description="Decide which components of a concurrent reactive "
                     "system caused an observed safety violation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_validate = sub.add_parser(
         "validate", help="parse a system file and check the refinement "
-                         "obligation")
+                         "obligation", formatter_class=fixed)
     p_validate.add_argument("system", help="system file (JSON)")
     p_validate.add_argument("--json", action="store_true")
     p_validate.set_defaults(func=cmd_validate)
 
     p_analyze = sub.add_parser(
-        "analyze", help="compute causal component sets for an error trace")
+        "analyze", help="compute causal component sets for an error trace",
+        formatter_class=fixed)
     p_analyze.add_argument("system", help="system file (JSON)")
     _add_analysis_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_stats = sub.add_parser(
         "stats", help="report product sizes and enumeration work for the "
-                      "same analyses")
+                      "same analyses", formatter_class=fixed)
     p_stats.add_argument("system", help="system file (JSON)")
     _add_analysis_flags(p_stats)
     p_stats.set_defaults(func=cmd_stats)
 
+    for p in (parser, p_validate, p_analyze, p_stats):
+        p.formatter_class = argparse.HelpFormatter
     return parser
 
 

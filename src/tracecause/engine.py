@@ -438,7 +438,8 @@ def minimal_antichain(sets: Iterable[Candidates]) -> list[CandidateSet]:
 
 def _level_order(k: int) -> list[int]:
     """The subset sizes 0..k from both ends, two at a time, starting at
-    the bottom: 0, 1, k, k-1, 2, 3, k-2, k-3, ..."""
+    the bottom: 0, 1, k, k-1, 2, 3, k-2, k-3, ...: mitigation's search
+    order, whose mirror image (k - j) manifestation's search takes."""
     order: list[int] = []
     lo, hi = 0, k
     while lo <= hi:
@@ -460,11 +461,12 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
     contain (so that pruned and unpruned runs report identically): sets
     evaluated, sets decided without evaluation (``pruned``; the two add
     up to 2^k) and one `SetMetrics` row per evaluated set, in
-    size-then-lexicographic order.  The exhaustive loop (every run but
-    the both-ends search) raises `BudgetExceeded` before it starts when
-    2^k passes `MAX_EVALUATIONS`.  Several modes of one analysis pass
-    the same ``_context``, built by `_analysis` on the same ``m``, ``tr``
-    and ``asg``; without one, a call makes its own."""
+    size-then-lexicographic order.  The both-ends search visits sizes in
+    `_level_order`, mirrored (k - j) for manifestation; the exhaustive
+    loop raises `BudgetExceeded` before it starts when 2^k passes
+    `MAX_EVALUATIONS`.  Several modes of one analysis pass the same
+    ``_context``, built by `_analysis` on the same ``m``, ``tr`` and
+    ``asg``; without one, a call makes its own."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if quantifier not in QUANTIFIERS:
@@ -494,7 +496,9 @@ def enumerate_with_stats(m: SystemModel, tr: Trace, mode: str,
     satisfying: list[frozenset[str]] = []
     failing: list[frozenset[str]] = []
     evaluated: list[tuple[CandidateSet, Verdict, SetMetrics]] = []
-    for size in (_level_order(k) if search else range(k + 1)):
+    order = _level_order(k) if mode == "mitigation" else [
+        k - j for j in _level_order(k)]
+    for size in (order if search else range(k + 1)):
         for combo in combinations(universe, size):
             members = frozenset(combo)
             if search and (any(s < members for s in satisfying)
@@ -551,11 +555,13 @@ def enumerate_causal_sets(m: SystemModel, tr: Trace, mode: str,
     ``minimal_only`` under a monotone assignment (mitigation or
     existential manifestation, each counterfactual language inside its
     fault language) the predicate is upward-closed, so the lattice is
-    visited from both ends, two levels at a time (sizes 0, 1, k, k-1, 2,
-    3, k-2, ...), and a set is evaluated only when no earlier verdict
-    decides it: a superset of a satisfying set is not minimal, a subset of
-    a failing set fails.  The report equals the exhaustive run's, cut
-    down to the minimal sets."""
+    visited from both ends, two levels at a time (mitigation: sizes 0, 1,
+    k, k-1, 2, 3, ...; manifestation, which asks mitigation's questions of
+    the complements when each non-candidate's counterfactual kind is its
+    fault kind, the mirror image: k, k-1, 0, 1, k-2, ...), and a set is
+    evaluated only when no earlier verdict decides it: a superset of a
+    satisfying set is not minimal, a subset of a failing set fails.  The
+    report equals the exhaustive run's, cut down to the minimal sets."""
     report, _ = enumerate_with_stats(m, tr, mode, asg, quantifier,
                                      minimal_only, allow_nonfaulty)
     return report

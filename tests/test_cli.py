@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -681,14 +684,45 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch,
     assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 3, 0, 0, 0]
 
 
+def parser_output(parser, argv):
+    """(exit code, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as done:
+            parser.parse_args(argv)
+    return done.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_and_usage_errors_wrap_to_the_terminal(monkeypatch, columns):
+    # The parser is built with a fixed-width formatter, which must not
+    # reach what it prints: every help text and usage error equals a
+    # parser's built with the default formatter throughout.
+    argvs = [["--help"], ["validate", "--help"], ["analyze", "--help"],
+             ["stats", "--help"], ["analyze", "--mode", "sideways"]]
+    monkeypatch.setenv("COLUMNS", columns)
+    built = cli.build_parser()
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "functools",
+                      types.SimpleNamespace(partial=lambda cls, **kw: cls))
+        default = cli.build_parser()
+    got = [parser_output(built, argv) for argv in argvs]
+    assert got == [parser_output(default, argv) for argv in argvs]
+    assert [code for code, _, _ in got] == [0, 0, 0, 0, 2]
+    widest = max(len(line) for _, out, _ in got
+                 for line in out.splitlines())
+    assert (widest > 80) == (columns == "200")
+
+
 # ---------------------------------------------------------------------------
 # start-up
 
 # Modules that only `dataclasses` pulled in, `typing`, which only
-# annotations named, and `struct`, which no part of the package reads;
-# start-up needs none of them.
+# annotations named, `struct`, which no part of the package reads, and
+# `shutil`, which argparse imports for the terminal width only when it
+# formats help; start-up needs none of them.
 UNNEEDED_AT_STARTUP = {"dataclasses", "inspect", "dis", "ast", "tokenize",
-                       "copy", "typing", "struct"}
+                       "copy", "typing", "struct", "shutil"}
 
 STARTUP_PROBE = """\
 import sys

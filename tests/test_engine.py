@@ -6,7 +6,11 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -392,6 +396,42 @@ def test_monotone_search_matches_exhaustive_enumeration():
     assert max(sizes) >= 4
 
 
+def test_minimal_manifestation_shares_every_answer_with_mitigation(
+        monkeypatch):
+    # Where every non-candidate's counterfactual kind equals its fault
+    # kind, manifestation of E asks mitigation's question of U - E, and
+    # the two searches visit mirrored sizes: manifestation evaluates the
+    # complements of mitigation's sets and decides nothing new.
+    decided = Counter()
+    real_decide = engine._decide
+
+    def counting_decide(ctx, kinds, contained):
+        decided["decide"] += 1
+        return real_decide(ctx, kinds, contained)
+
+    monkeypatch.setattr(engine, "_decide", counting_decide)
+    shared = 0
+    for m, tr, asg in monotone_cases(random.Random(2024), 60):
+        for allow_nonfaulty in (False, True):
+            ctx = engine._analysis(m, tr, asg)
+            kw = dict(minimal_only=True, allow_nonfaulty=allow_nonfaulty,
+                      _context=ctx)
+            rep, mitigation = enumerate_with_stats(m, tr, "mitigation", asg,
+                                                   **kw)
+            universe = frozenset(rep.candidates)
+            if any(asg.cf_kind(c.name) != asg.fault_kind(c.name)
+                   for c in m.components if c.name not in universe):
+                continue
+            shared += 1
+            decided.clear()
+            _, manifestation = enumerate_with_stats(m, tr, "manifestation",
+                                                    asg, **kw)
+            assert decided["decide"] == 0
+            assert {frozenset(r.members) for r in manifestation.per_set} == {
+                universe - frozenset(r.members) for r in mitigation.per_set}
+    assert shared == 140
+
+
 def independent_family(k: int, safe: str = ""):
     """k components, Ci keeping o_i at 0; the global spec allows the
     letters where ``safe`` holds, by default every letter but the one
@@ -419,7 +459,7 @@ def test_monotone_search_counts_on_independent_family(k):
     names = tuple(f"C{i}" for i in range(k))
     for mode, bound, minimal in (
             ("mitigation", k + 1, [(n,) for n in names]),
-            ("manifestation", 2 * k + 2, [names])):
+            ("manifestation", k + 1, [names])):
         rep, st = enumerate_with_stats(m, tr, mode, asg, minimal_only=True)
         assert [s.sorted_members for s in rep.minimal] == minimal
         assert st.evaluated <= bound, (mode, st.evaluated)
@@ -457,6 +497,39 @@ def test_monotone_search_peaks_near_what_it_keeps():
         tracemalloc.stop()
     assert len(rep.minimal) == 14
     assert peak - retained < 2 ** 20, (peak, retained)
+
+
+MANIFESTATION_14 = """\
+from tracecause.counterfactual import FaultModelKind, ModelAssignment
+from tracecause.engine import enumerate_with_stats
+from test_engine import independent_family
+m, tr = independent_family(14)
+asg = ModelAssignment.defaults(m, fault_kind=FaultModelKind.ARBITRARY)
+rep, st = enumerate_with_stats(m, tr, "manifestation", asg,
+                               minimal_only=True)
+print(st.evaluated, st.pruned, [s.sorted_members for s in rep.minimal])
+"""
+
+
+def test_minimal_manifestation_of_fourteen_runs_in_bounds():
+    # Visited from the bottom, the search's first set (the empty one)
+    # asked for the operand of 14 corrected specs: 807 MB peak RSS and
+    # 52 s.  From the top, its first set is every component, whose
+    # operand is 14 arbitrary factors; it now takes under a second and
+    # about 34 MB.  The address-space cap makes a relapse fail fast.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run([sys.executable, "-c", MANIFESTATION_14],
+                          capture_output=True, text=True, env=env,
+                          timeout=30, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+    names = tuple(sorted(f"C{i}" for i in range(14)))
+    assert proc.stdout.split(" ", 2) == [
+        "15", str(2 ** 14 - 15), f"{[names]}\n"]
 
 
 def test_monotone_search_lists_minimal_sets_by_size():
